@@ -84,8 +84,10 @@ class BenchResult:
     cells: Dict[Tuple[str, str, float], Cell]
 
     def gains(self) -> List[Tuple[str, str, str, float, float]]:
-        """Per-instance-matched relative gains (Q_a - Q_b)/Q_b for every
-        ordered solver pair, averaged within each (size, beta) cell."""
+        """Per-instance-matched relative gains (Q_a - Q_b)/|Q_b| for every
+        ordered solver pair, averaged within each (size, beta) cell.  The
+        absolute value keeps a gain positive when `a` beats a baseline
+        whose quality is negative."""
         out = []
         solvers = self.plan.solvers
         for a in solvers:
@@ -97,7 +99,7 @@ class BenchResult:
                     for beta in self.plan.betas:
                         qa = np.asarray(self.cells[(a, size, beta)].qualities)
                         qb = np.asarray(self.cells[(b, size, beta)].qualities)
-                        out.append((a, b, size, beta, float(np.mean((qa - qb) / qb))))
+                        out.append((a, b, size, beta, float(np.mean((qa - qb) / np.abs(qb)))))
         return out
 
     def mean_gain(self, a: str, b: str, size: str) -> float:

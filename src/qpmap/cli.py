@@ -69,7 +69,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     try:
         config = SolverConfig(
-            max_outer_iterations=args.max_iters or default_max_iterations(args.solver),
+            max_outer_iterations=(
+                default_max_iterations(args.solver) if args.max_iters is None else args.max_iters
+            ),
             objective_tolerance=args.tol,
             restarts=args.restarts,
             seed=args.seed,

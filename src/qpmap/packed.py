@@ -91,8 +91,10 @@ class PackedGraph:
         return [P[i, : self.card[i]].copy() for i in range(self.n)]
 
     def decode(self, P: np.ndarray) -> np.ndarray:
-        # invalid slots masked below any belief value; argmax takes lowest tied index
-        return np.argmax(np.where(self.valid, P, -1.0), axis=1)
+        """Per-node argmax of an (n, kmax) matrix, or of each in an (R, n, kmax) stack."""
+        # invalid slots masked below any value, including max-product's log
+        # beliefs, which can all be below -1; argmax takes lowest tied index
+        return np.argmax(np.where(self.valid, P, -np.inf), axis=-1)
 
     # -- sweeps and objectives ------------------------------------------
 
@@ -111,11 +113,19 @@ class PackedGraph:
             return 0.0
         return float(np.einsum("ek,ekl,el->", P[self.src], self.tables, P[self.tgt]))
 
-    def assignment_value(self, a: np.ndarray) -> float:
-        """Edge-sum objective at an integral assignment, on this model's scale."""
+    def assignment_value(self, a: np.ndarray) -> float | np.ndarray:
+        """Edge-sum objective at an integral assignment, on this model's scale.
+
+        Given an (R, n) stack of assignments, returns the (R,) values.
+        """
         if not len(self.src):
-            return 0.0
-        return float(self.tables[np.arange(len(self.src)), a[self.src], a[self.tgt]].sum())
+            return 0.0 if a.ndim == 1 else np.zeros(len(a))
+        e = np.arange(len(self.src))
+        if a.ndim == 1:
+            return float(self.tables[e, a[self.src], a[self.tgt]].sum())
+        vals = self.tables[e, a[:, self.src], a[:, self.tgt]]
+        # each row summed on its own, as a 1-D sum: a 2-D sum can round differently
+        return np.array([row.sum() for row in vals])
 
     def diagonal_terms(self) -> np.ndarray:
         """Per-node d_i(x_i) = sum over neighbors, labels of |theta|/2."""

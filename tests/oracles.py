@@ -1,18 +1,24 @@
 """Independent reference implementations used to check the solvers.
 
-Everything here is deliberately written without the package's packed
+Most of this is deliberately written without the package's packed
 message-passing machinery: brute-force enumeration, naive per-edge loops,
-and projected-gradient ascent with sort-based simplex projection.
+and projected-gradient ascent with sort-based simplex projection.  The
+max-product reference runs one restart at a time on a `PackedGraph`, with
+an `np.add.at` scatter and a broadcast max; `solve_mp` must match it
+exactly.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from qpmap import maxproduct, model
+from qpmap.common import SolverConfig, SolveReport, TraceRecord, restart_rng
 from qpmap.model import PairwiseMRF
+from qpmap.packed import PackedGraph
 
 
 def brute_force_map(mrf: PairwiseMRF) -> Tuple[np.ndarray, float]:
@@ -125,3 +131,102 @@ def em_multiplicative_update(mrf: PairwiseMRF, beliefs: Sequence[np.ndarray]) ->
         numer = np.asarray(beliefs[i]) * weight
         out.append(numer / numer.sum())
     return out
+
+
+def mp_log_tables(graph: PackedGraph) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.where(
+            graph.tables > 0.0,
+            np.log(np.maximum(graph.tables, 1e-320)),
+            maxproduct.LOG_ZERO,
+        )
+
+
+def mp_directed_edges(graph: PackedGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """Directed edge 2e is src->tgt and 2e+1 is tgt->src: (sources, targets)."""
+    m = len(graph.src)
+    src, tgt = np.empty(2 * m, dtype=int), np.empty(2 * m, dtype=int)
+    src[0::2], tgt[0::2] = graph.src, graph.tgt
+    src[1::2], tgt[1::2] = graph.tgt, graph.src
+    return src, tgt
+
+
+def mp_incoming(graph: PackedGraph, M: np.ndarray) -> np.ndarray:
+    """Per-node sum of a (2|E|, kmax) message matrix, by `np.add.at`."""
+    B = np.zeros((graph.n, graph.kmax))
+    np.add.at(B, mp_directed_edges(graph)[1], M)
+    return B
+
+
+def mp_iterate(graph: PackedGraph, M: np.ndarray, damping: float) -> np.ndarray:
+    """One damped synchronous sweep, maxing over a broadcast (|E|, k, k) sum."""
+    logt = mp_log_tables(graph)
+    src, tgt = mp_directed_edges(graph)
+    excl = mp_incoming(graph, M)[src] - M[np.arange(len(src)) ^ 1]
+    fwd = (logt + excl[0::2][:, :, None]).max(axis=1)
+    bwd = (logt + excl[1::2][:, None, :]).max(axis=2)
+    new = np.empty_like(M)
+    new[0::2], new[1::2] = fwd, bwd
+    new = damping * M + (1.0 - damping) * new
+    new -= np.where(graph.valid[tgt], new, -np.inf).max(axis=1, keepdims=True)
+    return new
+
+
+def mp_restarts_reference(
+    mrf: PairwiseMRF,
+    config: SolverConfig,
+    damping: Optional[float] = None,
+    restart_noise: float = 0.01,
+) -> SolveReport:
+    """Max-product run one restart at a time: the reference for `solve_mp`."""
+    prepared, offset = model.prepare_model(mrf)
+    graph = PackedGraph(prepared)
+    valid_tgt = graph.valid[mp_directed_edges(graph)[1]]
+    if damping is None:
+        damping = 0.0 if maxproduct._is_forest(mrf) else maxproduct.DEFAULT_LOOPY_DAMPING
+    best: Optional[SolveReport] = None
+    restarts_converged: List[bool] = []
+    restarts_final: List[float] = []
+    for r in range(config.restarts):
+        M = np.zeros((2 * len(graph.src), graph.kmax))
+        if r > 0:
+            M += restart_noise * restart_rng(config, r).random(M.shape)
+        trace: List[TraceRecord] = []
+        converged = False
+        iterations = 0
+        best_val = -np.inf
+        best_a = graph.decode(mp_incoming(graph, M))
+        for it in range(1, config.max_outer_iterations + 1):
+            new = mp_iterate(graph, M, damping)
+            change = float(np.abs((new - M)[valid_tgt]).max(initial=0.0))
+            M = new
+            iterations = it
+            a = graph.decode(mp_incoming(graph, M))
+            integral = graph.assignment_value(a) - offset.shift_total
+            trace.append(TraceRecord(it, integral, integral))
+            if integral > best_val:
+                best_val, best_a = integral, a
+            if change < config.objective_tolerance:
+                converged = True
+                break
+        restarts_converged.append(converged)
+        integral = model.evaluate_assignment(mrf, best_a)
+        restarts_final.append(integral)
+        if best is None or integral > best.integral_objective:
+            logb = np.where(graph.valid, mp_incoming(graph, M), -np.inf)
+            b = np.exp(logb - logb.max(axis=1, keepdims=True))
+            b /= b.sum(axis=1, keepdims=True)
+            best = SolveReport(
+                assignment=best_a,
+                integral_objective=integral,
+                trace=trace,
+                beliefs=graph.unpack_beliefs(np.where(graph.valid, b, 0.0)),
+                iterations=iterations,
+                converged=converged,
+                restart_index=r,
+                restarts_converged=[],
+            )
+    assert best is not None
+    best.restarts_converged = restarts_converged
+    best.restarts_final_objective = restarts_final
+    return best

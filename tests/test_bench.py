@@ -1,7 +1,7 @@
 import numpy as np
 
 from qpmap import bench
-from qpmap.bench import BenchPlan, run_benchmark
+from qpmap.bench import BenchPlan, BenchResult, Cell, run_benchmark
 
 
 def tiny_plan(**kw):
@@ -48,6 +48,18 @@ class TestRunBenchmark:
         lookup = {(a, b): g for a, b, size, beta, g in rows}
         assert lookup[("cccp", "maxprod")] == float(np.mean((qa - qb) / qb))
         assert res.mean_gain("cccp", "maxprod", "3x3") == lookup[("cccp", "maxprod")]
+
+    def test_gain_sign_with_negative_baseline(self):
+        plan = tiny_plan()
+        cells = {
+            ("cccp", "3x3", 1.0): Cell("cccp", "3x3", 1.0, qualities=[-1.0, 3.0]),
+            ("maxprod", "3x3", 1.0): Cell("maxprod", "3x3", 1.0, qualities=[-2.0, 2.0]),
+        }
+        lookup = {(a, b): g for a, b, _, _, g in BenchResult(plan, cells).gains()}
+        # cccp beats maxprod on both instances: +50% on each
+        assert lookup[("cccp", "maxprod")] == 0.5
+        # maxprod loses to cccp on both: -100% and -33%
+        assert lookup[("maxprod", "cccp")] == float(np.mean([-1.0, -1.0 / 3.0]))
 
 
 class TestCsv:

@@ -83,7 +83,8 @@ class TestSolve:
         assert header == "iter,qp_objective,integral_objective,convex_objective"
 
     @pytest.mark.parametrize("flag,value,field", [("--tol", "-1", "objective_tolerance"),
-                                                  ("--restarts", "0", "restarts")])
+                                                  ("--restarts", "0", "restarts"),
+                                                  ("--max-iters", "0", "max_outer_iterations")])
     def test_invalid_config_is_input_error(self, tmp_path, capsys, flag, value, field):
         rc = cli.main(["solve", "--input", write_minimal(tmp_path), flag, value])
         err = capsys.readouterr().err

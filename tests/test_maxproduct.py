@@ -3,9 +3,10 @@ import pytest
 
 from qpmap import maxproduct
 from qpmap.common import SolverConfig
+from qpmap.generators import IsingSpec, gen_ising_grid
 from qpmap.model import PairwiseMRF, evaluate_assignment, normalize_nonnegative
 from qpmap.packed import PackedGraph
-from oracles import brute_force_map
+from oracles import brute_force_map, mp_restarts_reference
 
 TWO_NODE_TABLE = np.array([[2.0, 0.0], [0.0, 1.0]])
 
@@ -119,7 +120,82 @@ class TestSolveMp:
         norm, off = normalize_nonnegative(m)
         assert rep.integral_objective == pytest.approx(trace_best, abs=1e-9)
 
+    def test_decodes_within_cardinality(self):
+        # the middle node's two incoming messages peak on different labels,
+        # so both of its log beliefs are far below zero
+        t01 = np.array([[1.0, 0.01]] * 3)
+        t12 = np.array([[0.01] * 3, [1.0] * 3])
+        m = PairwiseMRF((3, 2, 3), ((0, 1), (1, 2)), (t01, t12))
+        rep = maxproduct.solve_mp(m, SolverConfig(restarts=1, max_outer_iterations=50))
+        assert all(0 <= x < k for x, k in zip(rep.assignment, m.cardinalities))
+        assert rep.integral_objective == pytest.approx(brute_force_map(m)[1])
+
     def test_restarts_reported(self):
         m = random_tree(5, 2, seed=1)
         rep = maxproduct.solve_mp(m, SolverConfig(restarts=3, max_outer_iterations=50))
         assert len(rep.restarts_converged) == 3
+        assert len(rep.restarts_final_objective) == 3
+        assert max(rep.restarts_final_objective) == rep.integral_objective
+
+
+def mixed_cardinality_loopy():
+    rng = np.random.default_rng(0)
+    card = tuple(int(k) for k in rng.integers(1, 5, size=8))
+    edges = tuple((i, i + 1) for i in range(7)) + ((0, 7), (1, 6))
+    tables = tuple(rng.uniform(-1.0, 2.0, size=(card[i], card[j])) for i, j in edges)
+    return PairwiseMRF(card, edges, tables)
+
+
+class TestBatchedRestarts:
+    """Sweeping all restarts at once reproduces the one-at-a-time loop exactly."""
+
+    def assert_same_report(self, mrf, config, damping=None):
+        got = maxproduct.solve_mp(mrf, config, damping)
+        ref = mp_restarts_reference(mrf, config, damping)
+        assert np.array_equal(got.assignment, ref.assignment)
+        assert got.integral_objective == ref.integral_objective
+        assert got.trace == ref.trace
+        assert len(got.beliefs) == len(ref.beliefs)
+        assert all(np.array_equal(b, c) for b, c in zip(got.beliefs, ref.beliefs))
+        assert got.iterations == ref.iterations
+        assert got.converged == ref.converged
+        assert got.restart_index == ref.restart_index
+        assert got.restarts_converged == ref.restarts_converged
+        assert got.restarts_final_objective == ref.restarts_final_objective
+        return got
+
+    def test_loopy_ising_grid(self):
+        m = gen_ising_grid(IsingSpec(4, 4, 1.0, seed=2))
+        rep = self.assert_same_report(m, SolverConfig(restarts=5, max_outer_iterations=200, seed=2))
+        assert not any(rep.restarts_converged)
+
+    def test_tree_restarts_converge(self):
+        m = random_tree(7, 3, seed=4)
+        rep = self.assert_same_report(
+            m, SolverConfig(restarts=4, max_outer_iterations=100, seed=1), damping=0.0
+        )
+        assert all(rep.restarts_converged)
+
+    def test_mixed_cardinality_loopy(self):
+        m = mixed_cardinality_loopy()
+        assert len(set(m.cardinalities)) > 1
+        self.assert_same_report(m, SolverConfig(restarts=4, max_outer_iterations=300, seed=3))
+
+    def test_edgeless(self):
+        m = PairwiseMRF((2, 3, 1), (), ())
+        rep = self.assert_same_report(m, SolverConfig(restarts=3, max_outer_iterations=20))
+        assert rep.integral_objective == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_label_loop_max_plus_equals_broadcast(k):
+    rng = np.random.default_rng(k)
+    logt = rng.standard_normal((6, k, k))  # (edge, source label, target label)
+    x = rng.standard_normal((3, k, 6))  # (restart, label, edge)
+    xe = x.transpose(0, 2, 1)
+    fwd = (logt[None] + xe[:, :, :, None]).max(axis=2)  # max over source labels
+    bwd = (logt[None] + xe[:, :, None, :]).max(axis=3)  # max over target labels
+    got_fwd = maxproduct._max_plus(np.ascontiguousarray(logt.transpose(1, 2, 0)), x)
+    got_bwd = maxproduct._max_plus(np.ascontiguousarray(logt.transpose(2, 1, 0)), x)
+    assert np.array_equal(got_fwd, fwd.transpose(0, 2, 1))
+    assert np.array_equal(got_bwd, bwd.transpose(0, 2, 1))
