@@ -65,11 +65,13 @@ def _max_plus(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
 class _MpGraph:
     """Directed-edge stacking of a packed graph for batched max-product sweeps.
 
-    A message array has shape (R, kmax, 2|E| + 1) for R restarts.  Column e
-    holds the message src->tgt along edge e, column |E| + e the message
-    tgt->src, and the last column is a zero message that pads the slot
-    table of `incoming`.
+    A message array has shape (R, kmax, 2|E|) for R restarts.  Column e holds
+    the message src->tgt along edge e, and column |E| + e the message tgt->src.
     """
+
+    # a slot covering fewer message entries than this is left to np.add.at,
+    # whose per-entry cost beats the fixed cost of one more slot pass
+    MIN_SLOT_ENTRIES = 32
 
     def __init__(self, graph: PackedGraph):
         self.graph = graph
@@ -84,47 +86,50 @@ class _MpGraph:
         dir_tgt = np.concatenate([graph.tgt, graph.src])
         self.tgt_valid = np.ascontiguousarray(graph.valid[dir_tgt].T)
         self.ragged = not self.tgt_valid.all()
-        # slots[j, i]: the column of node i's j-th incoming message, or the
-        # zero column past its degree.  `incoming` adds them slot by slot, in
-        # the order np.add.at adds directed edges 2e (src->tgt), 2e+1 (tgt->src).
-        interleaved = np.concatenate([2 * np.arange(m), 2 * np.arange(m) + 1])
-        order = np.lexsort((interleaved, dir_tgt))
-        tgt = dir_tgt[order]
+        # `incoming` sums in node positions sorted by descending degree, so
+        # slot j (every node's j-th incoming message, in the order np.add.at
+        # adds directed edges 2e: src->tgt, 2e+1: tgt->src) fills a prefix
+        # of the positions; the slots hold 2|E| entries in all
         deg = np.bincount(dir_tgt, minlength=graph.n)
-        rank = np.arange(2 * m) - (np.cumsum(deg) - deg)[tgt]
-        self.slots = np.full((deg.max(initial=0), graph.n), 2 * m)
-        self.slots[rank, tgt] = order
+        node_of_pos = np.argsort(-deg, kind="stable")
+        self.pos_of_node = np.argsort(node_of_pos)
+        pos = self.pos_of_node[dir_tgt]
+        interleaved = np.concatenate([2 * np.arange(m), 2 * np.arange(m) + 1])
+        order = np.lexsort((interleaved, pos))
+        sorted_deg = deg[node_of_pos]
+        rank = np.arange(2 * m) - (np.cumsum(sorted_deg) - sorted_deg)[pos[order]]
+        by_slot = order[np.lexsort((pos[order], rank))]
+        counts = np.bincount(rank, minlength=deg.max(initial=0))
+        slots = np.split(by_slot, np.cumsum(counts)[:-1])
+        n_loop = int(np.sum(counts * graph.kmax >= self.MIN_SLOT_ENTRIES))
+        self.slots = slots[:n_loop]
+        # the rest, slot after slot, so each node still adds in rank order
+        self.tail_cols = np.concatenate([np.empty(0, dtype=int)] + slots[n_loop:])
+        self.tail_pos = pos[self.tail_cols]
 
     def stack(self, directed: np.ndarray) -> np.ndarray:
         """Message array from (R, kmax, 2|E|) columns ordered 2e: src->tgt, 2e+1: tgt->src."""
-        M = np.zeros(directed.shape[:2] + (2 * self.m + 1,))
-        M[..., : self.m], M[..., self.m : -1] = directed[..., 0::2], directed[..., 1::2]
-        return M
-
-    def unstack(self, M: np.ndarray) -> np.ndarray:
-        directed = np.empty(M.shape[:2] + (2 * self.m,))
-        directed[..., 0::2], directed[..., 1::2] = M[..., : self.m], M[..., self.m : -1]
-        return directed
+        return np.concatenate([directed[..., 0::2], directed[..., 1::2]], axis=-1)
 
     def incoming(self, M: np.ndarray) -> np.ndarray:
         """Per-node sums of incoming messages, shape (R, kmax, n)."""
         B = np.zeros(M.shape[:2] + (self.graph.n,))
-        for slot in self.slots:
-            B += np.take(M, slot, axis=-1)
-        return B
+        for cols in self.slots:
+            B[..., : len(cols)] += np.take(M, cols, axis=-1)
+        if len(self.tail_cols):
+            np.add.at(B, (..., self.tail_pos), np.take(M, self.tail_cols, axis=-1))
+        return np.take(B, self.pos_of_node, axis=-1)
 
     def iterate(self, M: np.ndarray, B: np.ndarray, damping: float) -> np.ndarray:
         """One damped synchronous sweep of every restart; B is incoming(M)."""
         m, g = self.m, self.graph
-        fwd = _max_plus(self.fwd_tables, np.take(B, g.src, axis=-1) - M[..., m:-1])
+        fwd = _max_plus(self.fwd_tables, np.take(B, g.src, axis=-1) - M[..., m:])
         bwd = _max_plus(self.bwd_tables, np.take(B, g.tgt, axis=-1) - M[..., :m])
         new = np.empty_like(M)
-        new[..., -1] = 0.0
-        body = new[..., :-1]
-        np.multiply(fwd, 1.0 - damping, out=body[..., :m])
-        np.multiply(bwd, 1.0 - damping, out=body[..., m:])
-        body += damping * M[..., :-1]
-        body -= self._label_max(body)[:, None, :]
+        np.multiply(fwd, 1.0 - damping, out=new[..., :m])
+        np.multiply(bwd, 1.0 - damping, out=new[..., m:])
+        new += damping * M
+        new -= self._label_max(new)[:, None, :]
         return new
 
     def _label_max(self, X: np.ndarray) -> np.ndarray:
@@ -139,20 +144,10 @@ class _MpGraph:
 
     def max_change(self, new: np.ndarray, M: np.ndarray) -> np.ndarray:
         """Per restart, the largest change of a message entry on a valid label."""
-        d = np.abs(new[..., :-1] - M[..., :-1])
+        d = np.abs(new - M)
         if self.ragged:
             d = np.where(self.tgt_valid, d, 0.0)
         return d.max(axis=1).max(axis=1, initial=0.0)
-
-
-def mp_iteration(mrf: PairwiseMRF, messages: np.ndarray, damping: float = 0.0) -> np.ndarray:
-    """One synchronous damped sweep over a (2|E|, kmax) message matrix.
-
-    Row 2e is the message src->tgt along edge e, row 2e+1 the message tgt->src.
-    """
-    mp = _MpGraph(PackedGraph(mrf))
-    M = mp.stack(messages.T[None])
-    return mp.unstack(mp.iterate(M, mp.incoming(M), damping))[0].T
 
 
 def solve_mp(

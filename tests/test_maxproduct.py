@@ -3,10 +3,10 @@ import pytest
 
 from qpmap import maxproduct
 from qpmap.common import SolverConfig
-from qpmap.generators import IsingSpec, gen_ising_grid
+from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from qpmap.model import PairwiseMRF, evaluate_assignment, normalize_nonnegative
 from qpmap.packed import PackedGraph
-from oracles import brute_force_map, mp_restarts_reference
+from oracles import brute_force_map, mp_incoming, mp_iterate, mp_restarts_reference
 
 TWO_NODE_TABLE = np.array([[2.0, 0.0], [0.0, 1.0]])
 
@@ -40,17 +40,44 @@ def brute_force_product_map(m):
     return np.array(best_a), best
 
 
+def sweep(m, messages, damping):
+    """One sweep from a (2|E|, kmax) matrix with rows 2e: src->tgt, 2e+1: tgt->src.
+
+    Returns the (kmax, 2|E|) stacked layout: column e src->tgt, |E| + e tgt->src.
+    """
+    mp = maxproduct._MpGraph(PackedGraph(m))
+    M = mp.stack(messages.T[None])
+    return mp.iterate(M, mp.incoming(M), damping)[0]
+
+
+def hub(leaves, k, seed, ring=False):
+    """A star around node 0, its leaves joined in a cycle if `ring`."""
+    rng = np.random.default_rng(seed)
+    edges = [(0, v) for v in range(1, leaves + 1)]
+    if ring:
+        edges += [(v, v % leaves + 1) for v in range(1, leaves + 1)]
+    tables = tuple(rng.uniform(-1.0, 2.0, size=(k, k)) for _ in edges)
+    return PairwiseMRF((k,) * (leaves + 1), tuple(edges), tables)
+
+
+def mixed_cardinality_loopy():
+    rng = np.random.default_rng(0)
+    card = tuple(int(k) for k in rng.integers(1, 5, size=8))
+    edges = tuple((i, i + 1) for i in range(7)) + ((0, 7), (1, 6))
+    tables = tuple(rng.uniform(-1.0, 2.0, size=(card[i], card[j])) for i, j in edges)
+    return PairwiseMRF(card, edges, tables)
+
+
 class TestMpIteration:
     def test_first_iteration_column_maxima(self):
         m = two_node()
-        M0 = np.zeros((2, 2))
-        M1 = maxproduct.mp_iteration(m, M0, damping=0.0)
+        M1 = sweep(m, np.zeros((2, 2)), damping=0.0)
         with np.errstate(divide="ignore"):
             logt = np.where(TWO_NODE_TABLE > 0, np.log(TWO_NODE_TABLE), maxproduct.LOG_ZERO)
         expect_fwd = logt.max(axis=0)
         expect_bwd = logt.max(axis=1)
-        assert np.allclose(M1[0], expect_fwd - expect_fwd.max())
-        assert np.allclose(M1[1], expect_bwd - expect_bwd.max())
+        assert np.allclose(M1[:, 0], expect_fwd - expect_fwd.max())
+        assert np.allclose(M1[:, 1], expect_bwd - expect_bwd.max())
 
     def test_tree_converged_beliefs_decode_product_map(self):
         for seed in range(5):
@@ -63,7 +90,34 @@ class TestMpIteration:
     def test_full_damping_freezes(self):
         m = two_node()
         M0 = np.array([[0.0, -1.0], [0.0, -2.0]])
-        assert np.allclose(maxproduct.mp_iteration(m, M0, damping=1.0), M0)
+        assert np.allclose(sweep(m, M0, damping=1.0), M0.T)
+
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    def test_sweep_equals_broadcast_oracle(self, damping):
+        m = mixed_cardinality_loopy()
+        graph = PackedGraph(m)
+        M0 = np.random.default_rng(5).standard_normal((2 * len(m.edges), graph.kmax))
+        expect = mp_iterate(graph, M0, damping)
+        got = sweep(m, M0, damping)
+        valid = graph.valid[np.concatenate([graph.tgt, graph.src])].T
+        assert np.array_equal(got[valid], maxproduct._MpGraph(graph).stack(expect.T[None])[0][valid])
+
+    @pytest.mark.parametrize(
+        "m",
+        [hub(40, 2, 0), hub(40, 2, 1, ring=True), hub(5, 3, 2, ring=True),
+         gen_ising_grid(IsingSpec(10, 10, 1.0, seed=0)), gen_random_mrf(30, 2, 0.2, seed=1),
+         mixed_cardinality_loopy(), PairwiseMRF((2, 3), (), ())],
+        ids=["star", "wheel", "small-wheel", "grid", "random", "mixed", "edgeless"],
+    )
+    def test_incoming_equals_add_at(self, m):
+        # bit-equal to np.add.at over the interleaved directed edges, whether
+        # a slot is summed on a prefix of nodes or left to the np.add.at tail
+        graph = PackedGraph(m)
+        mp = maxproduct._MpGraph(graph)
+        M0 = np.random.default_rng(6).standard_normal((3, 2 * len(m.edges), graph.kmax))
+        got = mp.incoming(mp.stack(M0.transpose(0, 2, 1)))
+        for r in range(3):
+            assert np.array_equal(got[r].T, mp_incoming(graph, M0[r]))
 
 
 class TestSolveMp:
@@ -138,14 +192,6 @@ class TestSolveMp:
         assert max(rep.restarts_final_objective) == rep.integral_objective
 
 
-def mixed_cardinality_loopy():
-    rng = np.random.default_rng(0)
-    card = tuple(int(k) for k in rng.integers(1, 5, size=8))
-    edges = tuple((i, i + 1) for i in range(7)) + ((0, 7), (1, 6))
-    tables = tuple(rng.uniform(-1.0, 2.0, size=(card[i], card[j])) for i, j in edges)
-    return PairwiseMRF(card, edges, tables)
-
-
 class TestBatchedRestarts:
     """Sweeping all restarts at once reproduces the one-at-a-time loop exactly."""
 
@@ -180,6 +226,17 @@ class TestBatchedRestarts:
         m = mixed_cardinality_loopy()
         assert len(set(m.cardinalities)) > 1
         self.assert_same_report(m, SolverConfig(restarts=4, max_outer_iterations=300, seed=3))
+
+    def test_star(self):
+        rep = self.assert_same_report(hub(40, 2, 3), SolverConfig(restarts=3, max_outer_iterations=100, seed=4))
+        assert all(rep.restarts_converged)
+
+    def test_loopy_hub(self):
+        self.assert_same_report(hub(40, 3, 5, ring=True), SolverConfig(restarts=3, max_outer_iterations=200, seed=5))
+
+    def test_random_degrees(self):
+        m = gen_random_mrf(24, 3, 0.3, seed=2)
+        self.assert_same_report(m, SolverConfig(restarts=3, max_outer_iterations=150, seed=6))
 
     def test_edgeless(self):
         m = PairwiseMRF((2, 3, 1), (), ())
