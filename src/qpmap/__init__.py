@@ -10,11 +10,9 @@ from .model import (
     PairwiseMRF,
     UnsupportedModelError,
     absorb_unary,
-    decode,
     evaluate_assignment,
     normalize_nonnegative,
     prepare_model,
-    qp_objective,
 )
 from .uai import UaiParseError, parse_uai, write_uai
 from .cccp import solve
@@ -36,11 +34,9 @@ __all__ = [
     "PairwiseMRF",
     "UnsupportedModelError",
     "absorb_unary",
-    "decode",
     "evaluate_assignment",
     "normalize_nonnegative",
     "prepare_model",
-    "qp_objective",
     "UaiParseError",
     "parse_uai",
     "write_uai",

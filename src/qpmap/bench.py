@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -18,23 +18,15 @@ from .common import SolverConfig, SolveReport
 from .generators import IsingSpec, gen_ising_grid
 from .model import PairwiseMRF
 
-SOLVER_NAMES = ("cccp", "convex", "gpem", "maxprod")
-
-
-def run_solver(name: str, mrf: PairwiseMRF, config: SolverConfig) -> SolveReport:
-    if name == "cccp":
-        return cccp.solve(mrf, config)
-    if name == "convex":
-        return convex.solve_convex(mrf, config)
-    if name == "gpem":
-        return gpem.solve_gp(mrf, config)
-    if name == "maxprod":
-        return maxproduct.solve_mp(mrf, config)
-    raise ValueError(f"unknown solver {name!r}")
-
-
-def default_max_iterations(name: str) -> int:
-    return 1000 if name == "maxprod" else 500
+# name -> (solve function, default max_outer_iterations).  Each solve
+# function is looked up on its module at call time, so a wrapper installed
+# there (as a profiler does) sees every call.
+SOLVERS: Dict[str, Tuple[Callable[[PairwiseMRF, SolverConfig], SolveReport], int]] = {
+    "cccp": (lambda mrf, config: cccp.solve(mrf, config), 500),
+    "convex": (lambda mrf, config: convex.solve_convex(mrf, config), 500),
+    "gpem": (lambda mrf, config: gpem.solve_gp(mrf, config), 500),
+    "maxprod": (lambda mrf, config: maxproduct.solve_mp(mrf, config), 1000),
+}
 
 
 @dataclass(frozen=True)
@@ -50,7 +42,7 @@ class BenchPlan:
         if self.instances < 1 or self.restarts < 1 or not self.sizes or not self.betas:
             raise ValueError("all plan counts must be >= 1")
         for s in self.solvers:
-            if s not in SOLVER_NAMES:
+            if s not in SOLVERS:
                 raise ValueError(f"unknown solver {s!r}")
 
 
@@ -123,13 +115,10 @@ def run_benchmark(plan: BenchPlan) -> BenchResult:
                 seed = instance_seed(plan, si, bi, t)
                 mrf = gen_ising_grid(IsingSpec(rows, cols, beta, seed=seed))
                 for s in plan.solvers:
-                    config = SolverConfig(
-                        max_outer_iterations=default_max_iterations(s),
-                        restarts=plan.restarts,
-                        seed=seed,
-                    )
+                    solve, budget = SOLVERS[s]
+                    config = SolverConfig(max_outer_iterations=budget, restarts=plan.restarts, seed=seed)
                     t0 = time.perf_counter()
-                    report = run_solver(s, mrf, config)
+                    report = solve(mrf, config)
                     elapsed = time.perf_counter() - t0
                     cell = cells[(s, size, beta)]
                     cell.qualities.append(report.integral_objective)

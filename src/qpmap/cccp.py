@@ -23,15 +23,14 @@ optimiser.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional
 
 import numpy as np
 
 from . import model
 from .common import SolverConfig, SolveReport, Sweep, relative_change, run_restarts
-from .model import DegenerateNodeError, ModelError, PairwiseMRF
-from .packed import EXACT_SUM_MIN_K, PackedGraph, clamped_simplex_sweep
+from .model import ModelError, PairwiseMRF
+from .packed import PackedGraph, clamped_simplex_sweep
 
 
 def setup(mrf: PairwiseMRF) -> PackedGraph:
@@ -49,71 +48,6 @@ def setup(mrf: PairwiseMRF) -> PackedGraph:
     graph = PackedGraph(mrf)
     graph.require_positive(graph.theta_hat, "theta_hat")
     return graph
-
-
-def delta_message(mrf: PairwiseMRF, i: int, j: int, p_i: np.ndarray) -> np.ndarray:
-    """Message from i to j: the theta-weighted expectation of p_i."""
-    p_i = np.asarray(p_i, dtype=float)
-    return p_i @ mrf.theta(i, j)
-
-
-def gradient_v(p_i: np.ndarray, theta_hat_i: np.ndarray, delta_sum_i: np.ndarray) -> np.ndarray:
-    """Linearization gradient at the previous iterate: p * theta_hat + incoming messages."""
-    return p_i * theta_hat_i + delta_sum_i
-
-
-@dataclass
-class InnerResult:
-    beliefs: np.ndarray
-    multiplier: float
-    zeros: Set[int]
-    multiplier_history: List[float]
-
-    @property
-    def passes(self) -> int:
-        return len(self.multiplier_history)
-
-
-def inner_loop(gradient: Sequence[float], denominator: Sequence[float]) -> InnerResult:
-    """Single-node normalized update with nonnegativity clamping.
-
-    Candidate beliefs are (gradient - lam)/denominator on the active labels
-    with lam solving the normalization; negative labels move into `zeros`
-    and the pass repeats.  Terminates within k passes; lam is strictly
-    increasing whenever a second pass occurs.
-    """
-    g = np.asarray(gradient, dtype=float)
-    den = np.asarray(denominator, dtype=float)
-    if np.any(den <= 0):
-        raise DegenerateNodeError(-1, "nonpositive update denominator")
-    k = len(g)
-    exact = k >= EXACT_SUM_MIN_K
-    ssum = math.fsum if exact else sum
-    zeros: Set[int] = set()
-    history: List[float] = []
-    p = np.zeros(k)
-    for _ in range(k):
-        active = [x for x in range(k) if x not in zeros]
-        if len(active) == 1:
-            x = active[0]
-            lam = g[x] - den[x]
-            p = np.zeros(k)
-            p[x] = 1.0
-            history.append(lam)
-            break
-        inv = ssum(1.0 / den[x] for x in active)
-        lam = (ssum(g[x] / den[x] for x in active) - 1.0) / inv
-        p = np.zeros(k)
-        for x in active:
-            p[x] = (g[x] - lam) / den[x]
-        history.append(lam)
-        neg = {x for x in active if p[x] < 0.0}
-        if not neg:
-            break
-        zeros |= neg
-        for x in neg:
-            p[x] = 0.0
-    return InnerResult(p, history[-1], zeros, history)
 
 
 def _plain_step(graph: PackedGraph, P: np.ndarray, S: np.ndarray, diag=None) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import bench, uai
-from .bench import BenchPlan, default_max_iterations, run_solver
+from .bench import SOLVERS, BenchPlan
 from .common import SolverConfig, SolveReport
 from .generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from .model import DegenerateNodeError, ModelError, PairwiseMRF
@@ -67,11 +67,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
+    solve, budget = SOLVERS[args.solver]
     try:
         config = SolverConfig(
-            max_outer_iterations=(
-                default_max_iterations(args.solver) if args.max_iters is None else args.max_iters
-            ),
+            max_outer_iterations=budget if args.max_iters is None else args.max_iters,
             objective_tolerance=args.tol,
             restarts=args.restarts,
             seed=args.seed,
@@ -81,7 +80,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_PARSE
     try:
         t0 = time.perf_counter()
-        report = run_solver(args.solver, mrf, config)
+        report = solve(mrf, config)
         elapsed = time.perf_counter() - t0
     except (DegenerateNodeError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -140,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve a UAI MARKOV instance")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--solver", choices=bench.SOLVER_NAMES, default="cccp")
+    sp.add_argument("--solver", choices=SOLVERS, default="cccp")
     sp.add_argument("--restarts", type=int, default=10)
     sp.add_argument("--max-iters", type=int, default=None)
     sp.add_argument("--tol", type=float, default=1e-8)

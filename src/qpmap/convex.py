@@ -8,50 +8,23 @@ The relaxed objective coincides with the bilinear one on integral beliefs.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import model
-from .cccp import InnerResult, inner_loop
 from .common import SolverConfig, SolveReport, run_restarts
 from .model import ModelError, PairwiseMRF
 from .packed import PackedGraph, clamped_simplex_sweep
 
 
-def diagonal_terms(mrf: PairwiseMRF) -> list:
-    """Per-node vectors d_i(x_i) = sum over neighbors and labels of |theta|/2.
-
-    Computed once before iteration begins.  Absolute values are kept so the
-    result is correct for models that were not shifted nonnegative.
-    """
-    graph = PackedGraph(mrf)
-    d = graph.diagonal_terms()
-    return [d[i, : mrf.cardinalities[i]].copy() for i in range(mrf.num_nodes)]
-
-
-def convex_qp_objective(mrf: PairwiseMRF, beliefs: Sequence[np.ndarray], d: Sequence[np.ndarray]) -> float:
-    """Relaxed objective: linear d-term + bilinear edge term - quadratic d-term."""
-    beliefs = model.check_beliefs(mrf, beliefs)
-    total = model.qp_objective(mrf, beliefs)
-    for p, di in zip(beliefs, d):
-        if p.shape != np.shape(di):
-            raise ValueError("diagonal-term shape mismatch")
-        total += float(p @ di) - float((p * p) @ di)
-    return total
-
-
-def convex_inner_update(gradient: Sequence[float], theta_hat: Sequence[float], d: Sequence[float]) -> InnerResult:
-    """Single-node clamped update with denominator 2*d + theta_hat.
-
-    The gradient argument must already include the +d term.
-    """
-    denom = 2.0 * np.asarray(d, dtype=float) + np.asarray(theta_hat, dtype=float)
-    return inner_loop(gradient, denom)
-
-
 def _packed_convex_objective(graph: PackedGraph, d: np.ndarray, P: np.ndarray) -> float:
-    return graph.qp_objective(P) + float((P * d).sum()) - float((P * P * d).sum())
+    """Relaxed objective: bilinear edge term + sum of p*(1-p)*d.
+
+    The d-terms are summed as one p*(1-p)*d term, which is exactly zero on
+    integral beliefs, so there the value equals the bilinear objective.
+    """
+    return graph.qp_objective(P) + float((P * (1.0 - P) * d).sum())
 
 
 def solve_convex(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> SolveReport:

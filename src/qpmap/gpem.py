@@ -10,7 +10,7 @@ expectation-maximization update for the same problem.
 from __future__ import annotations
 
 import logging
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -22,16 +22,6 @@ from .packed import PackedGraph
 log = logging.getLogger(__name__)
 
 UNDERFLOW_FLOOR = 1e-300
-
-
-def gp_update(p_i: np.ndarray, delta_sum_i: np.ndarray) -> np.ndarray:
-    """Single-node multiplicative update; raises if all incoming weight is zero."""
-    p_i = np.asarray(p_i, dtype=float)
-    numer = p_i * np.asarray(delta_sum_i, dtype=float)
-    C = numer.sum()
-    if C <= 0.0:
-        raise DegenerateNodeError(-1, "zero total incoming weight (C = 0)")
-    return numer / C
 
 
 def _sweep_factory(graph: PackedGraph):

@@ -1,4 +1,4 @@
-"""Pairwise MRF data model: potentials, beliefs, objectives, decoding.
+"""Pairwise MRF data model: potentials, assignments, and the solver-ready form.
 
 A model is a collection of discrete nodes joined by undirected edges, each
 edge carrying a dense potential table.  Edge tables are stored once in
@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+# how far a belief vector may stray from the simplex and still count as on it
 SIMPLEX_SUM_TOL = 1e-9
 NONNEG_TOL = 1e-12
 
@@ -115,9 +116,6 @@ class PairwiseMRF:
     def num_nodes(self) -> int:
         return len(self.cardinalities)
 
-    def domain_size(self, i: int) -> int:
-        return self.cardinalities[i]
-
     @cached_property
     def _edge_index(self) -> Dict[Tuple[int, int], int]:
         return {e: idx for idx, e in enumerate(self.edges)}
@@ -179,39 +177,6 @@ def evaluate_assignment(mrf: PairwiseMRF, a: Sequence[int]) -> float:
     return float(total)
 
 
-def check_beliefs(mrf: PairwiseMRF, beliefs: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Validate per-node simplex vectors; clamps tiny negatives (> -1e-12) to 0."""
-    if len(beliefs) != mrf.num_nodes:
-        raise ValueError("one belief vector per node required")
-    out = []
-    for i, p in enumerate(beliefs):
-        p = np.asarray(p, dtype=float)
-        if p.shape != (mrf.cardinalities[i],):
-            raise ValueError(f"node {i}: belief shape {p.shape}")
-        if np.any(p < -NONNEG_TOL):
-            raise ValueError(f"node {i}: negative belief entry {p.min()}")
-        p = np.maximum(p, 0.0)
-        if abs(p.sum() - 1.0) > SIMPLEX_SUM_TOL:
-            raise ValueError(f"node {i}: belief sums to {p.sum()}")
-        out.append(p)
-    return out
-
-
-def qp_objective(mrf: PairwiseMRF, beliefs: Sequence[np.ndarray]) -> float:
-    """Bilinear edge objective sum_{(i,j)} p_i^T theta_ij p_j.
-
-    Requires a unary-free model; absorb unaries first so the value is
-    comparable with `evaluate_assignment`.
-    """
-    if mrf.has_unaries():
-        raise ModelError("qp_objective requires a unary-free model; call absorb_unary first")
-    beliefs = check_beliefs(mrf, beliefs)
-    total = 0.0
-    for (i, j), t in zip(mrf.edges, mrf.tables):
-        total += float(beliefs[i] @ t @ beliefs[j])
-    return total
-
-
 def normalize_nonnegative(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, ObjectiveOffset]:
     """Shift each edge table so its minimum entry is >= 0.
 
@@ -257,22 +222,3 @@ def absorb_unary(mrf: PairwiseMRF) -> PairwiseMRF:
 def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, ObjectiveOffset]:
     """Absorb unaries, then shift tables nonnegative: the solver-ready form."""
     return normalize_nonnegative(absorb_unary(mrf))
-
-
-def decode(beliefs: Iterable[np.ndarray]) -> np.ndarray:
-    """Per-node argmax with ties broken toward the lowest label index."""
-    return np.array([int(np.argmax(p)) for p in beliefs], dtype=int)
-
-
-def indicator_beliefs(mrf: PairwiseMRF, a: Sequence[int]) -> List[np.ndarray]:
-    a = check_assignment(mrf, a)
-    out = []
-    for i, k in enumerate(mrf.cardinalities):
-        p = np.zeros(k)
-        p[a[i]] = 1.0
-        out.append(p)
-    return out
-
-
-def uniform_beliefs(mrf: PairwiseMRF) -> List[np.ndarray]:
-    return [np.full(k, 1.0 / k) for k in mrf.cardinalities]

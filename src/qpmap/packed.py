@@ -69,9 +69,6 @@ class PackedGraph:
 
     # -- model views ----------------------------------------------------
 
-    def theta_hat_of(self, i: int) -> np.ndarray:
-        return self.theta_hat[i, : self.card[i]]
-
     def require_positive(self, denom: np.ndarray, what: str) -> None:
         bad = self.valid & (denom <= 0.0)
         if bad.any():

@@ -2,7 +2,8 @@
 
 Most of this is deliberately written without the package's packed
 message-passing machinery: brute-force enumeration, naive per-edge loops,
-and projected-gradient ascent with sort-based simplex projection.  The
+projected-gradient ascent with sort-based simplex projection, the
+scalar per-node clamped update, and per-node belief fixtures.  The
 max-product reference runs one restart at a time on a `PackedGraph`, with
 an `np.add.at` scatter and a broadcast max; `solve_mp` must match it
 exactly.
@@ -11,14 +12,16 @@ exactly.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from qpmap import maxproduct, model
 from qpmap.common import SolverConfig, SolveReport, TraceRecord, restart_rng
-from qpmap.model import PairwiseMRF
-from qpmap.packed import PackedGraph
+from qpmap.model import DegenerateNodeError, PairwiseMRF, check_assignment
+from qpmap.packed import EXACT_SUM_MIN_K, PackedGraph
 
 
 def brute_force_map(mrf: PairwiseMRF) -> Tuple[np.ndarray, float]:
@@ -117,6 +120,75 @@ def pg_node_subproblem(gradient: np.ndarray, curvature: np.ndarray, max_iteratio
             break
         p = new
     return p
+
+
+def indicator_beliefs(mrf: PairwiseMRF, a: Sequence[int]) -> List[np.ndarray]:
+    a = check_assignment(mrf, a)
+    out = []
+    for i, k in enumerate(mrf.cardinalities):
+        p = np.zeros(k)
+        p[a[i]] = 1.0
+        out.append(p)
+    return out
+
+
+def uniform_beliefs(mrf: PairwiseMRF) -> List[np.ndarray]:
+    return [np.full(k, 1.0 / k) for k in mrf.cardinalities]
+
+
+@dataclass
+class InnerResult:
+    beliefs: np.ndarray
+    multiplier: float
+    zeros: Set[int]
+    multiplier_history: List[float]
+
+    @property
+    def passes(self) -> int:
+        return len(self.multiplier_history)
+
+
+def inner_loop(gradient: Sequence[float], denominator: Sequence[float]) -> InnerResult:
+    """Single-node normalized update with nonnegativity clamping: the
+    per-node reference for `clamped_simplex_sweep`.
+
+    Candidate beliefs are (gradient - lam)/denominator on the active labels
+    with lam solving the normalization; negative labels move into `zeros`
+    and the pass repeats.  Terminates within k passes; lam is strictly
+    increasing whenever a second pass occurs.
+    """
+    g = np.asarray(gradient, dtype=float)
+    den = np.asarray(denominator, dtype=float)
+    if np.any(den <= 0):
+        raise DegenerateNodeError(-1, "nonpositive update denominator")
+    k = len(g)
+    exact = k >= EXACT_SUM_MIN_K
+    ssum = math.fsum if exact else sum
+    zeros: Set[int] = set()
+    history: List[float] = []
+    p = np.zeros(k)
+    for _ in range(k):
+        active = [x for x in range(k) if x not in zeros]
+        if len(active) == 1:
+            x = active[0]
+            lam = g[x] - den[x]
+            p = np.zeros(k)
+            p[x] = 1.0
+            history.append(lam)
+            break
+        inv = ssum(1.0 / den[x] for x in active)
+        lam = (ssum(g[x] / den[x] for x in active) - 1.0) / inv
+        p = np.zeros(k)
+        for x in active:
+            p[x] = (g[x] - lam) / den[x]
+        history.append(lam)
+        neg = {x for x in active if p[x] < 0.0}
+        if not neg:
+            break
+        zeros |= neg
+        for x in neg:
+            p[x] = 0.0
+    return InnerResult(p, history[-1], zeros, history)
 
 
 def em_multiplicative_update(mrf: PairwiseMRF, beliefs: Sequence[np.ndarray]) -> List[np.ndarray]:

@@ -130,7 +130,8 @@ def test_criterion_05_convex_global_optimum():
         finals = rep.restarts_final_objective
         worst_spread = max(worst_spread, max(finals) - min(finals))
         prepared, _ = prepare_model(m)
-        _, ref = pg_maximize_convex_relaxation(prepared, convex.diagonal_terms(prepared))
+        g = PackedGraph(prepared)
+        _, ref = pg_maximize_convex_relaxation(prepared, g.unpack_beliefs(g.diagonal_terms()))
         worst_oracle_gap = max(worst_oracle_gap, abs(max(finals) - ref))
     elapsed = time.perf_counter() - t0
     ok = worst_spread <= 1e-6 and worst_oracle_gap <= 1e-5 and elapsed < 120.0

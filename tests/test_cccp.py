@@ -8,8 +8,8 @@ from qpmap.bench import BenchPlan, instance_seed
 from qpmap.common import SolverConfig, init_beliefs, restart_rng
 from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from qpmap.model import DegenerateNodeError, ModelError, PairwiseMRF, prepare_model
-from qpmap.packed import clamped_simplex_sweep
-from oracles import brute_force_map, pg_node_subproblem
+from qpmap.packed import PackedGraph, clamped_simplex_sweep
+from oracles import brute_force_map, inner_loop, pg_node_subproblem
 
 TWO_NODE_TABLE = np.array([[2.0, 0.0], [0.0, 1.0]])
 
@@ -18,18 +18,33 @@ def two_node():
     return PairwiseMRF((2, 2), ((0, 1),), (TWO_NODE_TABLE,))
 
 
+def node_sweep(grad, den):
+    """`clamped_simplex_sweep` on a single node with all labels valid."""
+    grad = np.asarray(grad, dtype=float)[None, :]
+    den = np.asarray(den, dtype=float)[None, :]
+    return clamped_simplex_sweep(grad, den, np.ones(grad.shape, dtype=bool))[0]
+
+
+def plain_step_gradient(monkeypatch, g, P):
+    """The gradient that CCCP's plain step hands to the clamped update."""
+    seen = []
+    monkeypatch.setattr(cccp, "clamped_simplex_sweep", lambda grad, *rest: seen.append(grad))
+    cccp.outer_iteration(g, P)
+    return seen[0]
+
+
 class TestSetup:
     def test_theta_hat_two_node(self):
         g = cccp.setup(two_node())
-        assert np.allclose(g.theta_hat_of(0), [2.0, 1.0])
-        assert np.allclose(g.theta_hat_of(1), [2.0, 1.0])
+        assert np.allclose(g.theta_hat[0], [2.0, 1.0])
+        assert np.allclose(g.theta_hat[1], [2.0, 1.0])
 
     def test_grid_symmetry(self):
         # center node of a 4-neighbor star, all tables equal
         t = np.array([[1.0, 2.0], [3.0, 4.0]])
         m = PairwiseMRF((2,) * 5, ((0, 1), (0, 2), (0, 3), (0, 4)), (t,) * 4)
         g = cccp.setup(m)
-        assert np.allclose(g.theta_hat_of(0), 4 * t.sum(axis=1))
+        assert np.allclose(g.theta_hat[0], 4 * t.sum(axis=1))
 
     def test_degenerate_row(self):
         m = PairwiseMRF((2, 2), ((0, 1),), (np.array([[1.0, 0.0], [0.0, 0.0]]),))
@@ -49,60 +64,63 @@ class TestSetup:
 
 
 class TestDeltaMessage:
+    # PackedGraph.delta_sums: row i sums the messages into node i
     def test_uniform(self):
-        d = cccp.delta_message(two_node(), 1, 0, np.array([0.5, 0.5]))
+        g = PackedGraph(two_node())
+        d = g.delta_sums(np.array([[1.0, 0.0], [0.5, 0.5]]))[0]
         assert np.allclose(d, [1.0, 0.5])
 
     def test_indicator_selects_row(self):
-        m = two_node()
-        d = cccp.delta_message(m, 0, 1, np.array([1.0, 0.0]))
+        g = PackedGraph(two_node())
+        d = g.delta_sums(np.array([[1.0, 0.0], [0.5, 0.5]]))[1]
         assert np.allclose(d, TWO_NODE_TABLE[0])
 
     def test_zero_table(self):
-        m = PairwiseMRF((2, 2), ((0, 1),), (np.zeros((2, 2)),))
-        assert np.allclose(cccp.delta_message(m, 0, 1, np.array([0.3, 0.7])), 0.0)
+        g = PackedGraph(PairwiseMRF((2, 2), ((0, 1),), (np.zeros((2, 2)),)))
+        assert np.allclose(g.delta_sums(np.array([[0.3, 0.7], [0.5, 0.5]])), 0.0)
 
 
 class TestGradient:
-    def test_uniform_two_node(self):
-        g = cccp.gradient_v(np.array([0.5, 0.5]), np.array([2.0, 1.0]), np.array([1.0, 0.5]))
-        assert np.allclose(g, [2.0, 1.0])
+    def test_uniform_two_node(self, monkeypatch):
+        g = plain_step_gradient(monkeypatch, cccp.setup(two_node()), np.full((2, 2), 0.5))
+        assert np.allclose(g[0], [2.0, 1.0])
 
-    def test_zero(self):
-        assert np.allclose(cccp.gradient_v(np.zeros(2), np.zeros(2), np.zeros(2)), 0.0)
+    def test_zero(self, monkeypatch):
+        assert np.allclose(plain_step_gradient(monkeypatch, cccp.setup(two_node()), np.zeros((2, 2))), 0.0)
 
-    def test_indicator_chain(self):
+    def test_indicator_chain(self, monkeypatch):
         eye2 = np.eye(2) + 1.0
         m = PairwiseMRF((2, 2, 2), ((0, 1), (1, 2)), (eye2, eye2))
         g = cccp.setup(m)
-        p = [np.array([1.0, 0.0])] * 3
-        delta_mid = cccp.delta_message(m, 0, 1, p[0]) + cccp.delta_message(m, 2, 1, p[2])
-        grad = cccp.gradient_v(p[1], g.theta_hat_of(1), delta_mid)
-        assert np.allclose(grad, p[1] * g.theta_hat_of(1) + 2 * eye2[:, 0])
+        P = np.array([[1.0, 0.0]] * 3)
+        grad = plain_step_gradient(monkeypatch, g, P)[1]
+        assert np.allclose(grad, P[1] * g.theta_hat[1] + 2 * eye2[:, 0])
 
 
 class TestInnerLoop:
+    # tests that read the multiplier or the zero set run on the per-node
+    # reference in tests/oracles.py: the packed sweep keeps both internal
     def test_worked_single_pass(self):
-        r = cccp.inner_loop([2.0, 1.0], [2.0, 1.0])
+        r = inner_loop([2.0, 1.0], [2.0, 1.0])
         assert r.multiplier == pytest.approx(2 / 3)
         assert np.allclose(r.beliefs, [2 / 3, 1 / 3])
         assert r.zeros == set()
         assert r.passes == 1
 
     def test_worked_two_pass(self):
-        r = cccp.inner_loop([10.0, 0.0], [1.0, 1.0])
+        r = inner_loop([10.0, 0.0], [1.0, 1.0])
         assert r.multiplier_history == pytest.approx([4.5, 9.0])
         assert np.allclose(r.beliefs, [1.0, 0.0])
         assert r.zeros == {1}
 
     def test_symmetric_gives_uniform(self):
         for c, t in [(3.0, 2.0), (0.1, 5.0)]:
-            r = cccp.inner_loop([c, c], [t, t])
-            assert np.allclose(r.beliefs, [0.5, 0.5])
+            assert np.allclose(node_sweep([c, c], [t, t]), [0.5, 0.5])
 
     def test_degenerate_denominator(self):
+        # the solvers check every denominator before sweeping
         with pytest.raises(DegenerateNodeError):
-            cccp.inner_loop([1.0, 1.0], [1.0, 0.0])
+            PackedGraph(two_node()).require_positive(np.array([[1.0, 1.0], [1.0, 0.0]]), "denominator")
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -115,7 +133,7 @@ class TestInnerLoop:
     )
     def test_properties(self, gd):
         grad, den = np.array(gd[0]), np.array(gd[1])
-        r = cccp.inner_loop(grad, den)
+        r = inner_loop(grad, den)
         k = len(grad)
         assert r.passes <= k
         assert np.all(r.beliefs >= 0.0)
@@ -136,7 +154,7 @@ class TestInnerLoop:
             k = int(rng.integers(2, 4))
             grad = rng.uniform(-2, 4, size=k)
             den = rng.uniform(0.2, 3.0, size=k)
-            ours = cccp.inner_loop(grad, den).beliefs
+            ours = node_sweep(grad, den)
             ref = pg_node_subproblem(grad, den)
             assert np.allclose(ours, ref, atol=1e-6)
 
@@ -188,9 +206,9 @@ class TestOuterIteration:
         for i in range(m.num_nodes):
             delta_sum = np.zeros(cards[i])
             for j in m.neighbors(i):
-                delta_sum += cccp.delta_message(m, j, i, beliefs[j])
-            grad = cccp.gradient_v(beliefs[i], g.theta_hat_of(i), delta_sum)
-            ref = cccp.inner_loop(grad, g.theta_hat_of(i)).beliefs
+                delta_sum += beliefs[j] @ m.theta(j, i)
+            theta_hat = g.theta_hat[i, : cards[i]]
+            ref = inner_loop(beliefs[i] * theta_hat + delta_sum, theta_hat).beliefs
             assert np.allclose(swept[i, : cards[i]], ref, atol=1e-12)
 
 

@@ -6,16 +6,9 @@ import pytest
 from qpmap import convex
 from qpmap.common import SolverConfig
 from qpmap.generators import gen_random_mrf
-from qpmap.model import (
-    DegenerateNodeError,
-    PairwiseMRF,
-    evaluate_assignment,
-    indicator_beliefs,
-    prepare_model,
-    qp_objective,
-    uniform_beliefs,
-)
-from oracles import pg_maximize_convex_relaxation
+from qpmap.model import DegenerateNodeError, PairwiseMRF, evaluate_assignment, prepare_model
+from qpmap.packed import PackedGraph, clamped_simplex_sweep
+from oracles import indicator_beliefs, inner_loop, pg_maximize_convex_relaxation, uniform_beliefs
 
 TWO_NODE_TABLE = np.array([[2.0, 0.0], [0.0, 1.0]])
 
@@ -24,79 +17,99 @@ def two_node():
     return PairwiseMRF((2, 2), ((0, 1),), (TWO_NODE_TABLE,))
 
 
+def diagonal_terms(m):
+    return PackedGraph(m).diagonal_terms()
+
+
+def convex_objective(m, beliefs):
+    """The relaxed objective as `solve_convex` evaluates it."""
+    g = PackedGraph(m)
+    return convex._packed_convex_objective(g, g.diagonal_terms(), g.pack_beliefs(beliefs))
+
+
+def qp_objective(m, beliefs):
+    g = PackedGraph(m)
+    return g.qp_objective(g.pack_beliefs(beliefs))
+
+
 class TestDiagonalTerms:
     def test_two_node(self):
-        d = convex.diagonal_terms(two_node())
+        d = diagonal_terms(two_node())
         assert np.allclose(d[0], [1.0, 0.5])
         assert np.allclose(d[1], [1.0, 0.5])
 
     def test_zero_tables(self):
         m = PairwiseMRF((2, 2), ((0, 1),), (np.zeros((2, 2)),))
-        assert np.allclose(convex.diagonal_terms(m)[0], 0.0)
+        assert np.allclose(diagonal_terms(m)[0], 0.0)
 
     def test_half_theta_hat_when_nonnegative(self):
         m = gen_random_mrf(5, 3, seed=2)
         from qpmap.cccp import setup
 
         g = setup(m)
-        for i, di in enumerate(convex.diagonal_terms(m)):
-            assert np.allclose(di, g.theta_hat_of(i) / 2.0)
+        for i, di in enumerate(diagonal_terms(m)):
+            assert np.allclose(di, g.theta_hat[i] / 2.0)
 
     def test_uses_absolute_values(self):
         t = np.array([[1.0, -3.0], [0.0, 2.0]])
         m = PairwiseMRF((2, 2), ((0, 1),), (t,))
-        assert np.allclose(convex.diagonal_terms(m)[0], np.abs(t).sum(axis=1) / 2.0)
+        assert np.allclose(diagonal_terms(m)[0], np.abs(t).sum(axis=1) / 2.0)
 
 
 class TestConvexObjective:
     def test_integral_matches_assignment(self):
         m = two_node()
-        d = convex.diagonal_terms(m)
         p = indicator_beliefs(m, (0, 0))
-        assert convex.convex_qp_objective(m, p, d) == pytest.approx(2.0)
-        assert convex.convex_qp_objective(m, p, d) == evaluate_assignment(m, (0, 0))
+        assert convex_objective(m, p) == pytest.approx(2.0)
+        assert convex_objective(m, p) == evaluate_assignment(m, (0, 0))
 
     def test_uniform_worked(self):
         m = two_node()
-        d = convex.diagonal_terms(m)
-        assert convex.convex_qp_objective(m, uniform_beliefs(m), d) == pytest.approx(1.5)
+        assert convex_objective(m, uniform_beliefs(m)) == pytest.approx(1.5)
 
     def test_dominates_bilinear_on_nonnegative_models(self):
         rng = np.random.default_rng(7)
         m = gen_random_mrf(5, 3, seed=1)
-        d = convex.diagonal_terms(m)
         for _ in range(100):
             p = [rng.dirichlet(np.ones(k)) for k in m.cardinalities]
-            assert convex.convex_qp_objective(m, p, d) >= qp_objective(m, p) - 1e-12
+            assert convex_objective(m, p) >= qp_objective(m, p) - 1e-12
 
     def test_integral_coincidence_exhaustive(self):
         m = gen_random_mrf(3, 2, seed=4)
-        d = convex.diagonal_terms(m)
         for a in itertools.product(range(2), repeat=3):
             p = indicator_beliefs(m, a)
-            assert convex.convex_qp_objective(m, p, d) == qp_objective(m, p)
+            assert convex_objective(m, p) == qp_objective(m, p)
+
+
+def convex_inner_update(gradient, theta_hat, d):
+    """The per-node reference with the convex solver's denominator 2*d + theta_hat."""
+    return inner_loop(gradient, 2.0 * np.asarray(d) + np.asarray(theta_hat))
 
 
 class TestConvexInnerUpdate:
     def test_worked_two_node(self):
         # gradient already includes the +d term
-        r = convex.convex_inner_update([3.0, 1.5], [2.0, 1.0], [1.0, 0.5])
+        r = convex_inner_update([3.0, 1.5], [2.0, 1.0], [1.0, 0.5])
         assert r.multiplier == pytest.approx(2 / 3)
         assert np.allclose(r.beliefs, [7 / 12, 5 / 12])
 
     def test_symmetric_uniform(self):
-        r = convex.convex_inner_update([2.0, 2.0], [1.0, 1.0], [0.5, 0.5])
-        assert np.allclose(r.beliefs, [0.5, 0.5])
+        # gradient [2, 2]; theta_hat [1, 1] and d [0.5, 0.5] give denominators 2*d + theta_hat
+        grad, denom = np.array([[2.0, 2.0]]), 2.0 * np.array([[0.5, 0.5]]) + np.array([[1.0, 1.0]])
+        P = clamped_simplex_sweep(grad, denom, np.ones((1, 2), dtype=bool))
+        assert np.allclose(P[0], [0.5, 0.5])
 
     def test_clamping_mirrors_nonconvex(self):
-        r = convex.convex_inner_update([10.0, 0.0], [0.5, 0.5], [0.25, 0.25])
+        r = convex_inner_update([10.0, 0.0], [0.5, 0.5], [0.25, 0.25])
         assert r.zeros == {1}
         assert np.allclose(r.beliefs, [1.0, 0.0])
         assert r.multiplier_history[1] > r.multiplier_history[0]
 
     def test_zero_denominator(self):
+        # node 2 is isolated, so its 2*d + theta_hat is zero
+        m = PairwiseMRF((2, 2, 2), ((0, 1),), (TWO_NODE_TABLE,))
         with pytest.raises(DegenerateNodeError):
-            convex.convex_inner_update([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+            convex.solve_convex(m, SolverConfig(restarts=1))
 
 
 class TestSolveConvex:
@@ -119,8 +132,8 @@ class TestSolveConvex:
     def test_matches_projected_gradient_oracle(self):
         m = gen_random_mrf(5, 3, seed=31)
         prepared, _ = prepare_model(m)
-        d = convex.diagonal_terms(prepared)
-        _, ref = pg_maximize_convex_relaxation(prepared, d)
+        g = PackedGraph(prepared)
+        _, ref = pg_maximize_convex_relaxation(prepared, g.unpack_beliefs(g.diagonal_terms()))
         rep = convex.solve_convex(m, SolverConfig(restarts=1, seed=3, max_outer_iterations=3000))
         assert rep.restarts_final_objective[0] == pytest.approx(ref, abs=1e-5)
 
@@ -134,8 +147,7 @@ class TestSolveConvex:
         # objective level: any beliefs give zero on a zero-potential model;
         # the solver itself rejects such a model as degenerate
         m = PairwiseMRF((2, 2), ((0, 1),), (np.zeros((2, 2)),))
-        d = convex.diagonal_terms(m)
-        assert convex.convex_qp_objective(m, uniform_beliefs(m), d) == 0.0
+        assert convex_objective(m, uniform_beliefs(m)) == 0.0
         with pytest.raises(DegenerateNodeError):
             convex.solve_convex(m, SolverConfig(restarts=1))
 

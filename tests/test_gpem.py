@@ -11,31 +11,40 @@ from oracles import em_multiplicative_update
 TWO_NODE_TABLE = np.array([[2.0, 0.0], [0.0, 1.0]])
 
 
-def two_node():
-    return PairwiseMRF((2, 2), ((0, 1),), (TWO_NODE_TABLE,))
+def two_node(table=TWO_NODE_TABLE):
+    return PairwiseMRF((2, 2), ((0, 1),), (table,))
+
+
+def gp_sweep(m, P):
+    """One GP-EM sweep as `solve_gp` runs it."""
+    return gpem._sweep_factory(PackedGraph(m))(np.asarray(P, dtype=float), None)
 
 
 class TestGpUpdate:
     def test_worked_two_node(self):
-        # incoming message sum at node 0 under uniform neighbor beliefs
-        delta = TWO_NODE_TABLE @ np.array([0.5, 0.5])
-        out = gpem.gp_update(np.array([0.5, 0.5]), delta)
+        # node 0 under uniform neighbor beliefs
+        out = gp_sweep(two_node(), [[0.5, 0.5], [0.5, 0.5]])[0]
         assert np.allclose(out, [2 / 3, 1 / 3])
 
     def test_constant_tables_identity(self):
         p = np.array([0.3, 0.7])
-        out = gpem.gp_update(p, np.array([1.7, 1.7]))
+        out = gp_sweep(two_node(np.full((2, 2), 1.7)), [p, [0.5, 0.5]])[0]
         assert np.allclose(out, p)
 
     def test_concentration_grows(self):
         p = np.array([0.9, 0.1])
-        delta = TWO_NODE_TABLE @ p
-        out = gpem.gp_update(p, delta)
+        out = gp_sweep(two_node(), [p, p])[0]
         assert out[0] / out[1] > p[0] / p[1]
 
     def test_zero_weight_errors(self):
-        with pytest.raises(DegenerateNodeError):
-            gpem.gp_update(np.array([0.5, 0.5]), np.zeros(2))
+        with pytest.raises(DegenerateNodeError) as exc:
+            gpem.solve_gp(two_node(np.zeros((2, 2))), SolverConfig(restarts=1))
+        assert exc.value.node == 0
+        # edge (2, 3) carries no weight, edge (0, 1) does
+        m = PairwiseMRF((2, 2, 2, 3), ((0, 1), (2, 3)), (TWO_NODE_TABLE, np.zeros((2, 3))))
+        with pytest.raises(DegenerateNodeError) as exc:
+            gpem.solve_gp(m, SolverConfig(restarts=1))
+        assert exc.value.node == 2
 
 
 class TestSolveGp:
