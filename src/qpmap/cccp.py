@@ -94,31 +94,26 @@ def _restart_sweep(graph: PackedGraph, gate: float) -> Sweep:
     """One restart's sweep, applied each time to its own last output.
 
     Plain steps until one gains less than `gate` (relative), exact line
-    searches along the plain step from then on.  The messages at the
-    returned beliefs are kept for the next sweep, so the plain phase costs
-    one `delta_sums` per sweep, as `outer_iteration` does.
+    searches along the plain step from then on.  The messages at P come in
+    with it and the messages at the returned beliefs go out, so the plain
+    phase costs one `delta_sums` per sweep, as `outer_iteration` does.
     """
-    S: Optional[np.ndarray] = None
     tail = False
 
-    def sweep(P, diag):
-        nonlocal S, tail
-        if S is None:
-            S = graph.delta_sums(P)
+    def sweep(P, S, diag):
+        nonlocal tail
         P1 = _plain_step(graph, P, S, diag)
         S1 = graph.delta_sums(P1)
         if not tail:
-            # f = sum(P*S)/2 on both sides of the plain step
-            tail = relative_change(float((P1 * S1).sum()) / 2, float((P * S).sum()) / 2) < gate
+            tail = relative_change(graph.qp_objective(P1, S1), graph.qp_objective(P, S)) < gate
         if tail:
             X = tail_step(P, S, P1, S1)
             if X is not P1:
                 # kept only if its objective, evaluated afresh, is no lower
                 SX = graph.delta_sums(X)
-                if float((X * SX).sum()) >= float((P1 * S1).sum()):
+                if graph.qp_objective(X, SX) >= graph.qp_objective(P1, S1):
                     P1, S1 = X, SX
-        S = S1
-        return P1
+        return P1, S1
 
     return sweep
 

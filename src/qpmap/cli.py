@@ -110,20 +110,31 @@ def _parse_sizes(text: str) -> tuple:
     sizes = []
     for part in text.split(","):
         r, _, c = part.partition("x")
-        sizes.append((int(r), int(c)))
+        try:
+            sizes.append((int(r), int(c)))
+        except ValueError:
+            raise ValueError(f"--sizes entry {part!r} is not ROWSxCOLS") from None
     return tuple(sizes)
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    plan = BenchPlan(
-        sizes=_parse_sizes(args.sizes),
-        betas=tuple(float(b) for b in args.betas.split(",")),
-        instances=args.instances,
-        restarts=args.restarts,
-        solvers=tuple(args.solvers.split(",")),
-        seed=args.seed,
-    )
-    result = bench.run_benchmark(plan)
+    try:
+        plan = BenchPlan(
+            sizes=_parse_sizes(args.sizes),
+            betas=tuple(float(b) for b in args.betas.split(",")),
+            instances=args.instances,
+            restarts=args.restarts,
+            solvers=tuple(args.solvers.split(",")),
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        result = bench.run_benchmark(plan)
+    except ModelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "summary.csv").write_text(bench.summary_csv(result))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class SolverConfig:
             raise ValueError(f"init must be one of {INIT_MODES}")
 
 
-Sweep = Callable[[np.ndarray, Optional[Diagnostics]], np.ndarray]
+Sweep = Callable[[np.ndarray, np.ndarray, Optional[Diagnostics]], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -93,17 +93,18 @@ def run_restarts(
     offset: ObjectiveOffset,
     config: SolverConfig,
     make_sweep: Callable[[], Sweep],
-    convex_objective: Optional[Callable[[np.ndarray], float]] = None,
+    convex_objective: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
 ) -> SolveReport:
     """Best-of-restarts synchronous-sweep driver shared by the CCCP-family solvers.
 
-    `make_sweep()` gives each restart its own sweep, which maps a belief
-    matrix to the next one; a sweep may carry state from call to call, but
-    never from one restart to the next.  Stopping uses the
-    relative change of the convex objective when given, otherwise of the
-    bilinear objective; both are traced.  The winner is the restart with
-    the best decoded objective on the original (unshifted, unary-inclusive)
-    model.
+    Each restart sends its messages S = `delta_sums(P)` once; from then on
+    its sweep (from `make_sweep()`, which may keep state within a restart)
+    maps (P, S) to the next beliefs and their messages, and every objective
+    is read off the carried S.  Stopping uses the relative change of
+    `convex_objective(P, S)` when given, otherwise of the bilinear
+    objective; both are traced, and a restart's final objective is its
+    last sweep's.  The winner is the restart with the best decoded
+    objective on the original (unshifted, unary-inclusive) model.
     """
     diag = Diagnostics() if config.collect_diagnostics else None
     best: Optional[SolveReport] = None
@@ -111,29 +112,26 @@ def run_restarts(
     restarts_final: List[float] = []
     t0 = time.perf_counter()
     for r in range(config.restarts):
-        rng = restart_rng(config, r)
-        P = init_beliefs(graph, config, rng)
+        P = init_beliefs(graph, config, restart_rng(config, r))
+        S = graph.delta_sums(P)
         sweep = make_sweep()
         trace: List[TraceRecord] = []
-        prev = convex_objective(P) if convex_objective else graph.qp_objective(P)
-        converged = False
-        iterations = 0
+        prev = convex_objective(P, S) if convex_objective else graph.qp_objective(P, S)
+        # max_outer_iterations >= 1: the loop always sets it, a, cur and converged
         for it in range(1, config.max_outer_iterations + 1):
-            P = sweep(P, diag)
-            iterations = it
-            qp = graph.qp_objective(P)
-            cvx = convex_objective(P) if convex_objective else None
+            P, S = sweep(P, S, diag)
+            qp = graph.qp_objective(P, S)
+            cvx = convex_objective(P, S) if convex_objective else None
             a = graph.decode(P)
             integral = graph.assignment_value(a) - offset.shift_total
             trace.append(TraceRecord(it, qp, integral, cvx))
             cur = cvx if convex_objective else qp
-            if relative_change(cur, prev) < config.objective_tolerance:
-                converged = True
+            converged = relative_change(cur, prev) < config.objective_tolerance
+            if converged:
                 break
             prev = cur
         restarts_converged.append(converged)
-        restarts_final.append(convex_objective(P) if convex_objective else graph.qp_objective(P))
-        a = graph.decode(P)
+        restarts_final.append(cur)
         integral = model.evaluate_assignment(original, a)
         if best is None or integral > best.integral_objective:
             best = SolveReport(
@@ -141,7 +139,7 @@ def run_restarts(
                 integral_objective=integral,
                 trace=trace,
                 beliefs=graph.unpack_beliefs(P),
-                iterations=iterations,
+                iterations=it,
                 converged=converged,
                 restart_index=r,
                 restarts_converged=[],

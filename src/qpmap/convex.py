@@ -18,13 +18,14 @@ from .model import ModelError, PairwiseMRF
 from .packed import PackedGraph, clamped_simplex_sweep
 
 
-def _packed_convex_objective(graph: PackedGraph, d: np.ndarray, P: np.ndarray) -> float:
-    """Relaxed objective: bilinear edge term + sum of p*(1-p)*d.
+def _packed_convex_objective(graph: PackedGraph, d: np.ndarray, P: np.ndarray, S=None) -> float:
+    """Relaxed objective: bilinear edge term (from the messages S at P, if
+    given) + sum of p*(1-p)*d.
 
     The d-terms are summed as one p*(1-p)*d term, which is exactly zero on
     integral beliefs, so there the value equals the bilinear objective.
     """
-    return graph.qp_objective(P) + float((P * (1.0 - P) * d).sum())
+    return graph.qp_objective(P, S) + float((P * (1.0 - P) * d).sum())
 
 
 def solve_convex(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -43,11 +44,11 @@ def solve_convex(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> Sol
     denom = 2.0 * d + graph.theta_hat
     graph.require_positive(denom, "2*d + theta_hat")
 
-    def sweep(P, diag):
-        grad = P * graph.theta_hat + graph.delta_sums(P) + d
-        return clamped_simplex_sweep(grad, denom, graph.valid, diag)
+    def sweep(P, S, diag):
+        P = clamped_simplex_sweep(P * graph.theta_hat + S + d, denom, graph.valid, diag)
+        return P, graph.delta_sums(P)
 
     return run_restarts(
         mrf, graph, offset, config, lambda: sweep,
-        convex_objective=lambda P: _packed_convex_objective(graph, d, P),
+        convex_objective=lambda P, S: _packed_convex_objective(graph, d, P, S),
     )

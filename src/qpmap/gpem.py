@@ -25,8 +25,8 @@ UNDERFLOW_FLOOR = 1e-300
 
 
 def _sweep_factory(graph: PackedGraph):
-    def sweep(P, diag):
-        numer = P * graph.delta_sums(P)
+    def sweep(P, S, diag):
+        numer = P * S
         C = numer.sum(axis=1)
         if np.any(C <= 0.0):
             node = int(np.nonzero(C <= 0.0)[0][0])
@@ -35,7 +35,7 @@ def _sweep_factory(graph: PackedGraph):
         tiny = graph.valid & (P > 0.0) & (new <= UNDERFLOW_FLOOR)
         if tiny.any():
             log.warning("multiplicative update underflowed on %d entries", int(tiny.sum()))
-        return new
+        return new, graph.delta_sums(new)
 
     return sweep
 

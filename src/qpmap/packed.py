@@ -19,9 +19,6 @@ from .model import DegenerateNodeError, PairwiseMRF
 
 log = logging.getLogger(__name__)
 
-# Compensated (exact) row sums above this label count; plain sums below.
-EXACT_SUM_MIN_K = 64
-
 
 @dataclass
 class Diagnostics:
@@ -105,10 +102,12 @@ class PackedGraph:
             np.add.at(S, self.src, to_src)
         return S
 
-    def qp_objective(self, P: np.ndarray) -> float:
-        if not len(self.src):
-            return 0.0
-        return float(np.einsum("ek,ekl,el->", P[self.src], self.tables, P[self.tgt]))
+    def qp_objective(self, P: np.ndarray, S: Optional[np.ndarray] = None) -> float:
+        """Bilinear objective, half of sum(P * S) with S = `delta_sums(P)`
+        (each edge appears in both endpoints' rows); S is computed if not given."""
+        if S is None:
+            S = self.delta_sums(P)
+        return 0.5 * float((P * S).sum())
 
     def assignment_value(self, a: np.ndarray) -> float | np.ndarray:
         """Edge-sum objective at an integral assignment, on this model's scale.
@@ -134,12 +133,6 @@ class PackedGraph:
         return d
 
 
-def _row_sums(x: np.ndarray, exact: bool) -> np.ndarray:
-    if exact:
-        return np.array([math.fsum(row) for row in x])
-    return x.sum(axis=1)
-
-
 def clamped_simplex_sweep(
     grad: np.ndarray,
     denom: np.ndarray,
@@ -154,7 +147,6 @@ def clamped_simplex_sweep(
     nonnegative.  Terminates within kmax passes.
     """
     n, kmax = grad.shape
-    exact = kmax >= EXACT_SUM_MIN_K
     active = valid.copy()
     safe_denom = np.where(valid, denom, 1.0)
     inv = np.where(active, 1.0 / safe_denom, 0.0)
@@ -162,8 +154,8 @@ def clamped_simplex_sweep(
     lam_prev = np.full(n, -np.inf)
     P = np.zeros_like(grad)
     for _ in range(max(kmax, 1)):
-        den = _row_sums(inv, exact)
-        num = _row_sums(grad * inv, exact) - 1.0
+        den = inv.sum(axis=1)
+        num = (grad * inv).sum(axis=1) - 1.0
         lam = num / den
         P = np.where(active, (grad - lam[:, None]) / safe_denom, 0.0)
         single = active.sum(axis=1) == 1

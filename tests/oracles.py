@@ -21,7 +21,7 @@ import numpy as np
 from qpmap import maxproduct, model
 from qpmap.common import SolverConfig, SolveReport, TraceRecord, restart_rng
 from qpmap.model import DegenerateNodeError, PairwiseMRF, check_assignment
-from qpmap.packed import EXACT_SUM_MIN_K, PackedGraph
+from qpmap.packed import PackedGraph
 
 
 def brute_force_map(mrf: PairwiseMRF) -> Tuple[np.ndarray, float]:
@@ -136,6 +136,16 @@ def uniform_beliefs(mrf: PairwiseMRF) -> List[np.ndarray]:
     return [np.full(k, 1.0 / k) for k in mrf.cardinalities]
 
 
+def mixed_cardinality_mrf(rng: np.random.Generator, n_max: int = 8, k_max: int = 6) -> PairwiseMRF:
+    """Random unary-free model: label counts 2..k_max, a chain plus random
+    extra edges, normal (mixed-sign) tables."""
+    n = int(rng.integers(2, n_max + 1))
+    cards = tuple(int(k) for k in rng.integers(2, k_max + 1, size=n))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if j == i + 1 or rng.random() < 0.4]
+    tables = tuple(rng.normal(size=(cards[i], cards[j])) for i, j in edges)
+    return PairwiseMRF(cards, tuple(edges), tables)
+
+
 @dataclass
 class InnerResult:
     beliefs: np.ndarray
@@ -162,8 +172,6 @@ def inner_loop(gradient: Sequence[float], denominator: Sequence[float]) -> Inner
     if np.any(den <= 0):
         raise DegenerateNodeError(-1, "nonpositive update denominator")
     k = len(g)
-    exact = k >= EXACT_SUM_MIN_K
-    ssum = math.fsum if exact else sum
     zeros: Set[int] = set()
     history: List[float] = []
     p = np.zeros(k)
@@ -176,8 +184,8 @@ def inner_loop(gradient: Sequence[float], denominator: Sequence[float]) -> Inner
             p[x] = 1.0
             history.append(lam)
             break
-        inv = ssum(1.0 / den[x] for x in active)
-        lam = (ssum(g[x] / den[x] for x in active) - 1.0) / inv
+        inv = math.fsum(1.0 / den[x] for x in active)
+        lam = (math.fsum(g[x] / den[x] for x in active) - 1.0) / inv
         p = np.zeros(k)
         for x in active:
             p[x] = (g[x] - lam) / den[x]

@@ -152,8 +152,9 @@ def test_criterion_06_em_equivalence():
         beliefs = [rng.dirichlet(np.ones(k)) for k in m.cardinalities]
         sweep = gpem._sweep_factory(g)
         P = g.pack_beliefs(beliefs)
+        S = g.delta_sums(P)
         for _ in range(4):
-            P = sweep(P, None)
+            P, S = sweep(P, S, None)
             beliefs = em_multiplicative_update(prepared, beliefs)
             for i, ref in enumerate(beliefs):
                 worst = max(worst, float(np.abs(P[i, : len(ref)] - ref).max()))

@@ -339,3 +339,25 @@ def test_kernel_handles_forced_clamp():
     valid = np.ones((1, 2), dtype=bool)
     P = clamped_simplex_sweep(grad, den, valid)
     assert np.allclose(P, [[1.0, 0.0]])
+
+
+@pytest.mark.parametrize("kmax", [64, 150])
+def test_sweep_matches_per_node_reference_at_large_k(kmax):
+    # long rows, padded to kmax, with gradients from 1e-3 (no clamping)
+    # to 1e3 (most labels clamped)
+    rng = np.random.default_rng(kmax)
+    n = 13
+    card = rng.integers(kmax // 2, kmax + 1, size=n)
+    card[0] = kmax
+    valid = np.arange(kmax) < card[:, None]
+    scale = np.logspace(-3, 3, n)[:, None]
+    grad = np.where(valid, scale * rng.normal(size=(n, kmax)), 0.0)
+    den = np.where(valid, rng.uniform(0.2, 5.0, size=(n, kmax)), 0.0)
+    P = clamped_simplex_sweep(grad, den, valid)
+    clamped = 0
+    for i, k in enumerate(card):
+        ref = inner_loop(grad[i, :k], den[i, :k])
+        assert np.abs(P[i, :k] - ref.beliefs).max() <= 1e-12
+        assert np.all(P[i, k:] == 0.0)
+        clamped += bool(ref.zeros)
+    assert 0 < clamped < n

@@ -159,3 +159,23 @@ class TestBench:
         assert summary[0] == "solver,size,beta,mean_quality,mean_time_s,converged_frac"
         assert len(summary) == 3  # 2 solvers x 1 cell
         assert (tmp_path / "out" / "gains.csv").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--solvers", "cccp,foo"), ("--sizes", "3by3"),
+                                            ("--sizes", "0x3"), ("--instances", "0"),
+                                            ("--betas", "x")])
+    def test_bad_input_is_input_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        rc = cli.main(["bench", "--sizes", "3x3", "--betas", "1.0", "--instances", "1",
+                       "--restarts", "1", flag, value, "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_PARSE
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_degenerate_grid_is_degenerate_error(self, tmp_path, capsys):
+        # a 1x1 grid is one isolated node, as in the `generate` case above
+        rc = cli.main(["bench", "--sizes", "1x1", "--betas", "1.0", "--instances", "1",
+                       "--restarts", "1", "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DEGENERATE
+        assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from qpmap import convex
-from qpmap.common import SolverConfig
+from qpmap.common import SolverConfig, init_beliefs, restart_rng
 from qpmap.generators import gen_random_mrf
 from qpmap.model import DegenerateNodeError, PairwiseMRF, evaluate_assignment, prepare_model
 from qpmap.packed import PackedGraph, clamped_simplex_sweep
-from oracles import indicator_beliefs, inner_loop, pg_maximize_convex_relaxation, uniform_beliefs
+from oracles import (
+    convex_relaxation_objective,
+    indicator_beliefs,
+    inner_loop,
+    mixed_cardinality_mrf,
+    pg_maximize_convex_relaxation,
+    uniform_beliefs,
+)
 
 TWO_NODE_TABLE = np.array([[2.0, 0.0], [0.0, 1.0]])
 
@@ -80,6 +87,15 @@ class TestConvexObjective:
             p = indicator_beliefs(m, a)
             assert convex_objective(m, p) == qp_objective(m, p)
 
+    def test_matches_per_edge_oracle_on_fractional_beliefs(self):
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            m = mixed_cardinality_mrf(rng)
+            beliefs = [rng.dirichlet(np.ones(k)) for k in m.cardinalities]
+            d = PackedGraph(m).unpack_beliefs(diagonal_terms(m))
+            ref = convex_relaxation_objective(m, beliefs, d)
+            assert convex_objective(m, beliefs) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
 
 def convex_inner_update(gradient, theta_hat, d):
     """The per-node reference with the convex solver's denominator 2*d + theta_hat."""
@@ -150,6 +166,26 @@ class TestSolveConvex:
         assert convex_objective(m, uniform_beliefs(m)) == 0.0
         with pytest.raises(DegenerateNodeError):
             convex.solve_convex(m, SolverConfig(restarts=1))
+
+    def test_trace_reads_the_iterated_step(self):
+        # tolerance 0 traces every sweep; each value must be the objective
+        # of the step iterated here, with its messages computed afresh
+        m = gen_random_mrf(8, 3, seed=5)
+        config = SolverConfig(restarts=1, seed=3, max_outer_iterations=60, objective_tolerance=0.0)
+        rep = convex.solve_convex(m, config)
+        g = PackedGraph(prepare_model(m)[0])
+        d = g.diagonal_terms()
+        denom = 2.0 * d + g.theta_hat
+        P = init_beliefs(g, config, restart_rng(config, 0))
+        qp, relaxed = [], []
+        for _ in range(config.max_outer_iterations):
+            P = clamped_simplex_sweep(P * g.theta_hat + g.delta_sums(P) + d, denom, g.valid)
+            qp.append(g.qp_objective(P))
+            relaxed.append(convex._packed_convex_objective(g, d, P))
+        assert [t.qp_objective for t in rep.trace] == qp
+        assert [t.convex_objective for t in rep.trace] == relaxed
+        assert rep.restarts_final_objective == [relaxed[-1]]
+        assert all(np.array_equal(b, e) for b, e in zip(rep.beliefs, g.unpack_beliefs(P)))
 
     def test_kkt_certificate_diagnostics(self):
         m = gen_random_mrf(6, 4, seed=17)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpmap import gpem
-from qpmap.common import SolverConfig
+from qpmap.common import SolverConfig, init_beliefs, restart_rng
 from qpmap.generators import gen_random_mrf
 from qpmap.model import DegenerateNodeError, PairwiseMRF, prepare_model
 from qpmap.packed import PackedGraph
@@ -17,7 +17,9 @@ def two_node(table=TWO_NODE_TABLE):
 
 def gp_sweep(m, P):
     """One GP-EM sweep as `solve_gp` runs it."""
-    return gpem._sweep_factory(PackedGraph(m))(np.asarray(P, dtype=float), None)
+    g = PackedGraph(m)
+    P = np.asarray(P, dtype=float)
+    return gpem._sweep_factory(g)(P, g.delta_sums(P), None)[0]
 
 
 class TestGpUpdate:
@@ -93,6 +95,24 @@ class TestSolveGp:
             assert vals.max() - vals.min() <= 1e-6 * max(1.0, vals.max())
 
 
+def test_trace_reads_the_iterated_step():
+    # tolerance 0 traces every sweep; each value must be the objective of
+    # the step iterated here, with its messages computed afresh
+    m = gen_random_mrf(8, 3, seed=5)
+    config = SolverConfig(restarts=1, seed=3, max_outer_iterations=60, objective_tolerance=0.0)
+    rep = gpem.solve_gp(m, config)
+    g = PackedGraph(prepare_model(m)[0])
+    sweep = gpem._sweep_factory(g)
+    P = init_beliefs(g, config, restart_rng(config, 0))
+    expected = []
+    for _ in range(config.max_outer_iterations):
+        P = sweep(P, g.delta_sums(P), None)[0]
+        expected.append(g.qp_objective(P))
+    assert [t.qp_objective for t in rep.trace] == expected
+    assert rep.restarts_final_objective == [expected[-1]]
+    assert all(np.array_equal(b, e) for b, e in zip(rep.beliefs, g.unpack_beliefs(P)))
+
+
 def test_matches_reference_em_update():
     rng = np.random.default_rng(13)
     for seed in range(10):
@@ -102,8 +122,9 @@ def test_matches_reference_em_update():
         beliefs = [rng.dirichlet(np.ones(k)) for k in m.cardinalities]
         sweep = gpem._sweep_factory(g)
         P = g.pack_beliefs(beliefs)
+        S = g.delta_sums(P)
         for _ in range(5):
-            P = sweep(P, None)
+            P, S = sweep(P, S, None)
             beliefs = em_multiplicative_update(prepared, beliefs)
             for i, ref in enumerate(beliefs):
                 assert np.allclose(P[i, : len(ref)], ref, atol=1e-12)

@@ -16,7 +16,13 @@ from qpmap.model import (
     prepare_model,
 )
 from qpmap.packed import PackedGraph
-from oracles import brute_force_map, indicator_beliefs, uniform_beliefs
+from oracles import (
+    brute_force_map,
+    convex_relaxation_objective,
+    indicator_beliefs,
+    mixed_cardinality_mrf,
+    uniform_beliefs,
+)
 
 
 def two_node(table=((2.0, 0.0), (0.0, 1.0))):
@@ -75,6 +81,20 @@ class TestQpObjective:
     def test_indicator_times_uniform(self):
         p = [np.array([1.0, 0.0]), np.array([0.5, 0.5])]
         assert qp_objective(two_node(), p) == pytest.approx(1.0)
+
+    def test_matches_per_edge_oracle_on_fractional_beliefs(self):
+        # the oracle's d-terms vanish with d = 0, leaving its per-edge loop
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            m = mixed_cardinality_mrf(rng)
+            beliefs = [rng.dirichlet(np.ones(k)) for k in m.cardinalities]
+            zeros = [np.zeros(k) for k in m.cardinalities]
+            ref = convex_relaxation_objective(m, beliefs, zeros)
+            assert qp_objective(m, beliefs) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    def test_edgeless_model_is_zero(self):
+        m = PairwiseMRF((2, 3), (), ())
+        assert qp_objective(m, uniform_beliefs(m)) == 0.0
 
 
 class TestNormalizeNonnegative:
