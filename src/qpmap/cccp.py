@@ -28,9 +28,9 @@ from typing import Optional
 import numpy as np
 
 from . import model
-from .common import SolverConfig, SolveReport, Sweep, relative_change, run_restarts
+from .common import SolverConfig, SolveReport, relative_change, run_restarts
 from .model import ModelError, PairwiseMRF
-from .packed import PackedGraph, clamped_simplex_sweep
+from .packed import PackedGraph, clamped_simplex_sweep, row_sums
 
 
 def setup(mrf: PairwiseMRF) -> PackedGraph:
@@ -55,64 +55,54 @@ def _plain_step(graph: PackedGraph, P: np.ndarray, S: np.ndarray, diag=None) -> 
     return clamped_simplex_sweep(P * graph.theta_hat + S, graph.theta_hat, graph.valid, diag)
 
 
-def outer_iteration(graph: PackedGraph, P: np.ndarray, diag=None) -> np.ndarray:
-    """One synchronous sweep: all messages, then all node updates."""
-    return _plain_step(graph, P, graph.delta_sums(P), diag)
+def _tail_steps(P: np.ndarray, S: np.ndarray, P1: np.ndarray, S1: np.ndarray):
+    """The tail phase's line search for each restart of a stack: returns the
+    restarts whose best step length is not 1, and their new beliefs.
 
-
-def tail_step(P: np.ndarray, S: np.ndarray, P1: np.ndarray, S1: np.ndarray) -> np.ndarray:
-    """Best point of the bilinear objective on the ray from P through P1.
-
-    S and S1 are the incoming messages at P and at the plain step P1.  With
-    D = P1 - P and S(D) = S1 - S, the objective along the ray is exactly
-    f(P + tD) = f(P) + t*sum(D*S) + t^2/2*sum(D*S(D)); it is maximised over
-    t in [1, t_max], where t_max is the largest t with P + tD >= 0.  Rows
-    of D sum to zero, so every such point is on the simplex, and padded
-    slots stay zero.  t = 1 gives P1, so in exact arithmetic the result is
-    never worse than it; a long step also scales up the rounding in D, so
-    callers compare the two objectives afresh.
+    S and S1 are the messages at P and at the plain step P1.  Along D =
+    P1 - P the objective is exactly f(P) + t*sum(D*S) + t^2/2*sum(D*(S1 - S)).
+    The candidates are t = 1, t_max (the longest step that keeps P + tD >= 0)
+    and the interior optimum; the first of tied ones wins.
     """
     D = P1 - P
     shrink = D < 0.0
-    if not shrink.any():
-        return P1
-    t_max = float((P[shrink] / -D[shrink]).min())
-    lin = float((D * S).sum())
-    quad = 0.5 * float((D * (S1 - S)).sum())
-    steps = [1.0, t_max]
-    if quad < 0.0:
-        steps.append(min(max(-lin / (2.0 * quad), 1.0), t_max))
-    t = max(steps, key=lambda t: t * (lin + t * quad))
-    if t == 1.0:
-        return P1
+    g = np.nonzero(shrink.any(axis=(1, 2)))[0]
+    P, S, D, shrink = P[g], S[g], D[g], shrink[g]
+    t_max = np.divide(P, -D, out=np.full(P.shape, np.inf), where=shrink).min(axis=(1, 2))
+    lin = row_sums(D * S)
+    quad = 0.5 * row_sums(D * (S1[g] - S))
+    concave = quad < 0.0
+    t_opt = np.divide(-lin, 2.0 * quad, out=np.ones(len(g)), where=concave)
+    t, best = np.ones(len(g)), lin + quad
+    for cand, ok in ((t_max, True), (np.minimum(np.maximum(t_opt, 1.0), t_max), concave)):
+        gain = cand * (lin + cand * quad)
+        better = ok & (gain > best)
+        t, best = np.where(better, cand, t), np.where(better, gain, best)
+    moved = t != 1.0
     # renormalised: a long step also scales up the rounding in D's row sums
-    X = np.maximum(P + t * D, 0.0)
-    return X / X.sum(axis=1, keepdims=True)
+    X = np.maximum(P[moved] + t[moved, None, None] * D[moved], 0.0)
+    return g[moved], X / X.sum(axis=-1, keepdims=True)
 
 
-def _restart_sweep(graph: PackedGraph, gate: float) -> Sweep:
-    """One restart's sweep, applied each time to its own last output.
+def _sweep_factory(graph: PackedGraph, gate: float, restarts: int):
+    """Per restart of a stack: plain steps until one gains < `gate` (relative), then line searches."""
+    tail = np.zeros(restarts, dtype=bool)
 
-    Plain steps until one gains less than `gate` (relative), exact line
-    searches along the plain step from then on.  The messages at P come in
-    with it and the messages at the returned beliefs go out, so the plain
-    phase costs one `delta_sums` per sweep, as `outer_iteration` does.
-    """
-    tail = False
-
-    def sweep(P, S, diag):
-        nonlocal tail
+    def sweep(P, S, live, diag):
         P1 = _plain_step(graph, P, S, diag)
         S1 = graph.delta_sums(P1)
-        if not tail:
-            tail = relative_change(graph.qp_objective(P1, S1), graph.qp_objective(P, S)) < gate
-        if tail:
-            X = tail_step(P, S, P1, S1)
-            if X is not P1:
+        q1 = graph.qp_objective(P1, S1)
+        plain = np.nonzero(~tail[live])[0]
+        if len(plain):
+            tail[live[plain]] = relative_change(q1[plain], graph.qp_objective(P[plain], S[plain])) < gate
+        rows = np.nonzero(tail[live])[0]
+        if len(rows):
+            moved, X = _tail_steps(P[rows], S[rows], P1[rows], S1[rows])
+            if len(moved):
                 # kept only if its objective, evaluated afresh, is no lower
-                SX = graph.delta_sums(X)
-                if graph.qp_objective(X, SX) >= graph.qp_objective(P1, S1):
-                    P1, S1 = X, SX
+                rows, SX = rows[moved], graph.delta_sums(X)
+                keep = graph.qp_objective(X, SX) >= q1[rows]
+                P1[rows[keep]], S1[rows[keep]] = X[keep], SX[keep]
         return P1, S1
 
     return sweep
@@ -124,4 +114,4 @@ def solve(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> SolveRepor
     prepared, offset = model.prepare_model(mrf)
     graph = setup(prepared)
     gate = math.sqrt(config.objective_tolerance)
-    return run_restarts(mrf, graph, offset, config, lambda: _restart_sweep(graph, gate))
+    return run_restarts(mrf, graph, offset, config, _sweep_factory(graph, gate, config.restarts))

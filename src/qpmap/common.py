@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class SolverConfig:
             raise ValueError("perturbation must be >= 0")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}")
-
-
-Sweep = Callable[[np.ndarray, np.ndarray, Optional[Diagnostics]], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -83,8 +80,8 @@ def init_beliefs(graph: PackedGraph, config: SolverConfig, rng: np.random.Genera
     return P
 
 
-def relative_change(new: float, old: float) -> float:
-    return abs(new - old) / max(1.0, abs(new))
+def relative_change(new, old):
+    return np.abs(new - old) / np.maximum(1.0, np.abs(new))
 
 
 def run_restarts(
@@ -92,61 +89,63 @@ def run_restarts(
     graph: PackedGraph,
     offset: ObjectiveOffset,
     config: SolverConfig,
-    make_sweep: Callable[[], Sweep],
-    convex_objective: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
+    sweep: Callable,
+    convex_objective: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> SolveReport:
     """Best-of-restarts synchronous-sweep driver shared by the CCCP-family solvers.
 
-    Each restart sends its messages S = `delta_sums(P)` once; from then on
-    its sweep (from `make_sweep()`, which may keep state within a restart)
-    maps (P, S) to the next beliefs and their messages, and every objective
-    is read off the carried S.  Stopping uses the relative change of
-    `convex_objective(P, S)` when given, otherwise of the bilinear
-    objective; both are traced, and a restart's final objective is its
-    last sweep's.  The winner is the restart with the best decoded
-    objective on the original (unshifted, unary-inclusive) model.
+    All restarts sweep as one (R, n, kmax) stack, restart r from beliefs
+    drawn with `restart_rng(config, r)`.  Their messages S = `delta_sums(P)`
+    are sent once; then `sweep(P, S, live, diag)` maps the stack of the live
+    restarts (indices `live`) to their next beliefs and messages, and every
+    objective is read off the carried S.  A restart stops on the relative
+    change of `convex_objective(P, S)` if given, else of the bilinear
+    objective, and leaves the stack.  Each restart's sums are taken on their
+    own, so the report is bit-identical to solving the restarts one at a
+    time.  The winner (the first of ties) has the best decoded objective on
+    the original model.
     """
     diag = Diagnostics() if config.collect_diagnostics else None
-    best: Optional[SolveReport] = None
-    restarts_converged: List[bool] = []
-    restarts_final: List[float] = []
+    R, budget = config.restarts, config.max_outer_iterations
     t0 = time.perf_counter()
-    for r in range(config.restarts):
-        P = init_beliefs(graph, config, restart_rng(config, r))
-        S = graph.delta_sums(P)
-        sweep = make_sweep()
-        trace: List[TraceRecord] = []
-        prev = convex_objective(P, S) if convex_objective else graph.qp_objective(P, S)
-        # max_outer_iterations >= 1: the loop always sets it, a, cur and converged
-        for it in range(1, config.max_outer_iterations + 1):
-            P, S = sweep(P, S, diag)
-            qp = graph.qp_objective(P, S)
-            cvx = convex_objective(P, S) if convex_objective else None
-            a = graph.decode(P)
-            integral = graph.assignment_value(a) - offset.shift_total
-            trace.append(TraceRecord(it, qp, integral, cvx))
-            cur = cvx if convex_objective else qp
-            converged = relative_change(cur, prev) < config.objective_tolerance
-            if converged:
-                break
-            prev = cur
-        restarts_converged.append(converged)
-        restarts_final.append(cur)
-        integral = model.evaluate_assignment(original, a)
-        if best is None or integral > best.integral_objective:
-            best = SolveReport(
-                assignment=a,
-                integral_objective=integral,
-                trace=trace,
-                beliefs=graph.unpack_beliefs(P),
-                iterations=it,
-                converged=converged,
-                restart_index=r,
-                restarts_converged=[],
-            )
-    assert best is not None
-    best.restarts_converged = restarts_converged
-    best.restarts_final_objective = restarts_final
-    best.wall_time_s = time.perf_counter() - t0
-    best.diagnostics = diag
-    return best
+    P = np.stack([init_beliefs(graph, config, restart_rng(config, r)) for r in range(R)])
+    S = graph.delta_sums(P)
+    prev = (convex_objective or graph.qp_objective)(P, S)
+    final_P, final_a = np.empty_like(P), graph.decode(P)
+    final, iterations = np.empty(R), np.empty(R, dtype=int)
+    converged = np.zeros(R, dtype=bool)
+    history = []  # per sweep: qp, integral, stopping objective of every restart (NaN once stopped)
+    live = np.arange(R)
+    for it in range(1, budget + 1):
+        if not len(live):
+            break
+        P, S = sweep(P, S, live, diag)
+        qp = graph.qp_objective(P, S)
+        cur = convex_objective(P, S) if convex_objective else qp
+        a = graph.decode(P)
+        row = np.full((3, R), np.nan)
+        row[:, live] = qp, graph.assignment_value(a) - offset.shift_total, cur
+        history.append(row)
+        done = relative_change(cur, prev) < config.objective_tolerance
+        stop, prev = done | (it == budget), cur
+        if stop.any():
+            out, keep = live[stop], ~stop
+            final_P[out], final_a[out], final[out] = P[stop], a[stop], cur[stop]
+            iterations[out], converged[out] = it, done[stop]
+            live, P, S, prev = live[keep], P[keep], S[keep], prev[keep]
+    finals = [model.evaluate_assignment(original, x) for x in final_a]
+    w = int(np.argmax(finals))
+    hist = np.array(history)[: iterations[w], :, w].tolist()
+    return SolveReport(
+        assignment=final_a[w].copy(),
+        integral_objective=finals[w],
+        trace=[TraceRecord(i, q, v, c if convex_objective else None) for i, (q, v, c) in enumerate(hist, 1)],
+        beliefs=graph.unpack_beliefs(final_P[w]),
+        iterations=int(iterations[w]),
+        converged=bool(converged[w]),
+        restart_index=w,
+        restarts_converged=converged.tolist(),
+        restarts_final_objective=final.tolist(),
+        wall_time_s=time.perf_counter() - t0,
+        diagnostics=diag,
+    )

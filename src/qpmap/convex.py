@@ -15,17 +15,14 @@ import numpy as np
 from . import model
 from .common import SolverConfig, SolveReport, run_restarts
 from .model import ModelError, PairwiseMRF
-from .packed import PackedGraph, clamped_simplex_sweep
+from .packed import PackedGraph, clamped_simplex_sweep, row_sums
 
 
-def _packed_convex_objective(graph: PackedGraph, d: np.ndarray, P: np.ndarray, S=None) -> float:
-    """Relaxed objective: bilinear edge term (from the messages S at P, if
-    given) + sum of p*(1-p)*d.
-
-    The d-terms are summed as one p*(1-p)*d term, which is exactly zero on
-    integral beliefs, so there the value equals the bilinear objective.
-    """
-    return graph.qp_objective(P, S) + float((P * (1.0 - P) * d).sum())
+def _packed_convex_objective(graph: PackedGraph, d: np.ndarray, P: np.ndarray, S=None):
+    """Relaxed objective, per restart of a stack: bilinear edge term (from
+    the messages S at P, if given) + sum of p*(1-p)*d.  The d-term is exactly
+    zero on integral beliefs, so there the value equals the bilinear one."""
+    return graph.qp_objective(P, S) + row_sums(P * (1.0 - P) * d)
 
 
 def solve_convex(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -44,11 +41,11 @@ def solve_convex(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> Sol
     denom = 2.0 * d + graph.theta_hat
     graph.require_positive(denom, "2*d + theta_hat")
 
-    def sweep(P, S, diag):
+    def sweep(P, S, live, diag):
         P = clamped_simplex_sweep(P * graph.theta_hat + S + d, denom, graph.valid, diag)
         return P, graph.delta_sums(P)
 
     return run_restarts(
-        mrf, graph, offset, config, lambda: sweep,
+        mrf, graph, offset, config, sweep,
         convex_objective=lambda P, S: _packed_convex_objective(graph, d, P, S),
     )

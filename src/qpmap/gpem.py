@@ -24,20 +24,22 @@ log = logging.getLogger(__name__)
 UNDERFLOW_FLOOR = 1e-300
 
 
-def _sweep_factory(graph: PackedGraph):
-    def sweep(P, S, diag):
-        numer = P * S
-        C = numer.sum(axis=1)
-        if np.any(C <= 0.0):
-            node = int(np.nonzero(C <= 0.0)[0][0])
-            raise DegenerateNodeError(node, "zero total incoming weight (C = 0)")
-        new = numer / C[:, None]
-        tiny = graph.valid & (P > 0.0) & (new <= UNDERFLOW_FLOOR)
-        if tiny.any():
-            log.warning("multiplicative update underflowed on %d entries", int(tiny.sum()))
-        return new, graph.delta_sums(new)
+class _Sweep:
+    """GP-EM's sweep of a stack of restarts; it counts the entries of
+    positive beliefs that fall to the underflow floor."""
 
-    return sweep
+    def __init__(self, graph: PackedGraph):
+        self.graph, self.underflows = graph, 0
+
+    def __call__(self, P, S, live, diag):
+        numer = P * S
+        C = numer.sum(axis=-1)
+        if np.any(C <= 0.0):
+            node = int(np.argwhere(C <= 0.0)[0][-1])  # first in restart, then node order
+            raise DegenerateNodeError(node, "zero total incoming weight (C = 0)")
+        new = numer / C[..., None]
+        self.underflows += int(np.count_nonzero(self.graph.valid & (P > 0.0) & (new <= UNDERFLOW_FLOOR)))
+        return new, self.graph.delta_sums(new)
 
 
 def solve_gp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> SolveReport:
@@ -45,8 +47,13 @@ def solve_gp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> SolveRe
 
     Exactly-uniform initialization is a fixed point on symmetric models, so
     the perturbed default matters here; `uniform` is still accepted.
+    Underflowing entries are counted over the solve and logged once.
     """
     config = config or SolverConfig()
     prepared, offset = model.prepare_model(mrf)
     graph = PackedGraph(prepared)
-    return run_restarts(mrf, graph, offset, config, lambda: _sweep_factory(graph))
+    sweep = _Sweep(graph)
+    report = run_restarts(mrf, graph, offset, config, sweep)
+    if sweep.underflows:
+        log.warning("multiplicative update underflowed on %d entries", sweep.underflows)
+    return report

@@ -23,7 +23,7 @@ import numpy as np
 from . import model
 from .common import SolverConfig, SolveReport, TraceRecord, restart_rng
 from .model import PairwiseMRF
-from .packed import PackedGraph
+from .packed import PackedGraph, SlotScatter
 
 LOG_ZERO = -1e9
 DEFAULT_LOOPY_DAMPING = 0.5
@@ -69,10 +69,6 @@ class _MpGraph:
     the message src->tgt along edge e, and column |E| + e the message tgt->src.
     """
 
-    # a slot covering fewer message entries than this is left to np.add.at,
-    # whose per-entry cost beats the fixed cost of one more slot pass
-    MIN_SLOT_ENTRIES = 32
-
     def __init__(self, graph: PackedGraph):
         self.graph = graph
         m = self.m = len(graph.src)
@@ -86,26 +82,9 @@ class _MpGraph:
         dir_tgt = np.concatenate([graph.tgt, graph.src])
         self.tgt_valid = np.ascontiguousarray(graph.valid[dir_tgt].T)
         self.ragged = not self.tgt_valid.all()
-        # `incoming` sums in node positions sorted by descending degree, so
-        # slot j (every node's j-th incoming message, in the order np.add.at
-        # adds directed edges 2e: src->tgt, 2e+1: tgt->src) fills a prefix
-        # of the positions; the slots hold 2|E| entries in all
-        deg = np.bincount(dir_tgt, minlength=graph.n)
-        node_of_pos = np.argsort(-deg, kind="stable")
-        self.pos_of_node = np.argsort(node_of_pos)
-        pos = self.pos_of_node[dir_tgt]
+        # summed in the order np.add.at adds directed edges 2e: src->tgt, 2e+1: tgt->src
         interleaved = np.concatenate([2 * np.arange(m), 2 * np.arange(m) + 1])
-        order = np.lexsort((interleaved, pos))
-        sorted_deg = deg[node_of_pos]
-        rank = np.arange(2 * m) - (np.cumsum(sorted_deg) - sorted_deg)[pos[order]]
-        by_slot = order[np.lexsort((pos[order], rank))]
-        counts = np.bincount(rank, minlength=deg.max(initial=0))
-        slots = np.split(by_slot, np.cumsum(counts)[:-1])
-        n_loop = int(np.sum(counts * graph.kmax >= self.MIN_SLOT_ENTRIES))
-        self.slots = slots[:n_loop]
-        # the rest, slot after slot, so each node still adds in rank order
-        self.tail_cols = np.concatenate([np.empty(0, dtype=int)] + slots[n_loop:])
-        self.tail_pos = pos[self.tail_cols]
+        self.scatter = SlotScatter(dir_tgt, interleaved, graph.n, graph.kmax)
 
     def stack(self, directed: np.ndarray) -> np.ndarray:
         """Message array from (R, kmax, 2|E|) columns ordered 2e: src->tgt, 2e+1: tgt->src."""
@@ -113,12 +92,7 @@ class _MpGraph:
 
     def incoming(self, M: np.ndarray) -> np.ndarray:
         """Per-node sums of incoming messages, shape (R, kmax, n)."""
-        B = np.zeros(M.shape[:2] + (self.graph.n,))
-        for cols in self.slots:
-            B[..., : len(cols)] += np.take(M, cols, axis=-1)
-        if len(self.tail_cols):
-            np.add.at(B, (..., self.tail_pos), np.take(M, self.tail_cols, axis=-1))
-        return np.take(B, self.pos_of_node, axis=-1)
+        return self.scatter.sum(M, axis=-1)
 
     def iterate(self, M: np.ndarray, B: np.ndarray, damping: float) -> np.ndarray:
         """One damped synchronous sweep of every restart; B is incoming(M)."""

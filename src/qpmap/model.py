@@ -117,10 +117,6 @@ class PairwiseMRF:
         return len(self.cardinalities)
 
     @cached_property
-    def _edge_index(self) -> Dict[Tuple[int, int], int]:
-        return {e: idx for idx, e in enumerate(self.edges)}
-
-    @cached_property
     def adjacency(self) -> Tuple[Tuple[int, ...], ...]:
         nbrs: List[List[int]] = [[] for _ in range(self.num_nodes)]
         for i, j in self.edges:
@@ -128,17 +124,8 @@ class PairwiseMRF:
             nbrs[j].append(i)
         return tuple(tuple(sorted(x)) for x in nbrs)
 
-    def neighbors(self, i: int) -> Tuple[int, ...]:
-        return self.adjacency[i]
-
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
-
-    def theta(self, i: int, j: int) -> np.ndarray:
-        """Edge table oriented (i, j); the (j, i) orientation is a transpose view."""
-        if i < j:
-            return self.tables[self._edge_index[(i, j)]]
-        return self.tables[self._edge_index[(j, i)]].T
 
     def has_unaries(self) -> bool:
         return bool(self.unaries)

@@ -4,9 +4,9 @@ Most of this is deliberately written without the package's packed
 message-passing machinery: brute-force enumeration, naive per-edge loops,
 projected-gradient ascent with sort-based simplex projection, the
 scalar per-node clamped update, and per-node belief fixtures.  The
-max-product reference runs one restart at a time on a `PackedGraph`, with
-an `np.add.at` scatter and a broadcast max; `solve_mp` must match it
-exactly.
+restart references run one restart at a time on a `PackedGraph`, with
+`np.add.at` scatters (and a broadcast max for max-product); the batched
+solvers must match them exactly.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from qpmap import maxproduct, model
-from qpmap.common import SolverConfig, SolveReport, TraceRecord, restart_rng
+from qpmap import cccp, maxproduct, model
+from qpmap.common import SolverConfig, SolveReport, TraceRecord, init_beliefs, restart_rng
 from qpmap.model import DegenerateNodeError, PairwiseMRF, check_assignment
-from qpmap.packed import PackedGraph
+from qpmap.packed import Diagnostics, PackedGraph, clamped_simplex_sweep
 
 
 def brute_force_map(mrf: PairwiseMRF) -> Tuple[np.ndarray, float]:
@@ -199,13 +199,20 @@ def inner_loop(gradient: Sequence[float], denominator: Sequence[float]) -> Inner
     return InnerResult(p, history[-1], zeros, history)
 
 
+def theta(mrf: PairwiseMRF, i: int, j: int) -> np.ndarray:
+    """Edge table oriented (i, j); the (j, i) orientation is a transpose view."""
+    if i < j:
+        return mrf.tables[mrf.edges.index((i, j))]
+    return mrf.tables[mrf.edges.index((j, i))].T
+
+
 def em_multiplicative_update(mrf: PairwiseMRF, beliefs: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Direct per-edge-loop coding of the multiplicative belief update."""
     out = []
     for i in range(mrf.num_nodes):
         weight = np.zeros(mrf.cardinalities[i])
-        for j in mrf.neighbors(i):
-            t = mrf.theta(i, j)
+        for j in mrf.adjacency[i]:
+            t = theta(mrf, i, j)
             for xi in range(mrf.cardinalities[i]):
                 weight[xi] += float(np.dot(t[xi, :], beliefs[j]))
         numer = np.asarray(beliefs[i]) * weight
@@ -309,4 +316,153 @@ def mp_restarts_reference(
     assert best is not None
     best.restarts_converged = restarts_converged
     best.restarts_final_objective = restarts_final
+    return best
+
+
+def pack_beliefs(graph: PackedGraph, beliefs: Sequence[np.ndarray]) -> np.ndarray:
+    """(n, kmax) matrix of per-node belief vectors, zero-padded."""
+    P = np.zeros((graph.n, graph.kmax))
+    for i, p in enumerate(beliefs):
+        P[i, : len(p)] = p
+    return P
+
+
+def delta_sums_add_at(graph: PackedGraph, P: np.ndarray) -> np.ndarray:
+    """`PackedGraph.delta_sums` by two `np.add.at` scatters, one restart at a time."""
+    if P.ndim == 3:
+        return np.stack([delta_sums_add_at(graph, Pr) for Pr in P])
+    S = np.zeros_like(P)
+    if len(graph.src):
+        np.add.at(S, graph.tgt, np.einsum("ek,ekl->el", P[graph.src], graph.tables))
+        np.add.at(S, graph.src, np.einsum("el,ekl->ek", P[graph.tgt], graph.tables))
+    return S
+
+
+def outer_iteration(graph: PackedGraph, P: np.ndarray, diag=None) -> np.ndarray:
+    """One CCCP plain sweep of one restart: all messages, then all node updates."""
+    return cccp._plain_step(graph, P, graph.delta_sums(P), diag)
+
+
+def tail_step(P: np.ndarray, S: np.ndarray, P1: np.ndarray, S1: np.ndarray) -> np.ndarray:
+    """One restart's CCCP tail step: the best point of the bilinear
+    objective on the ray from P through P1, over t in [1, t_max].
+
+    S and S1 are the incoming messages at P and at the plain step P1.  The
+    objective along the ray is f(P) + t*sum(D*S) + t^2/2*sum(D*(S1 - S))
+    with D = P1 - P; t_max is the largest t with P + tD >= 0.  Returns P1
+    itself when the plain step is best.
+    """
+    D = P1 - P
+    shrink = D < 0.0
+    if not shrink.any():
+        return P1
+    t_max = float((P[shrink] / -D[shrink]).min())
+    lin = float((D * S).sum())
+    quad = 0.5 * float((D * (S1 - S)).sum())
+    steps = [1.0, t_max]
+    if quad < 0.0:
+        steps.append(min(max(-lin / (2.0 * quad), 1.0), t_max))
+    t = max(steps, key=lambda t: t * (lin + t * quad))
+    if t == 1.0:
+        return P1
+    X = np.maximum(P + t * D, 0.0)
+    return X / X.sum(axis=1, keepdims=True)
+
+
+def _qp(P: np.ndarray, S: np.ndarray) -> float:
+    return 0.5 * float((P * S).sum())
+
+
+def _reference_solver(solver: str, graph: PackedGraph, config: SolverConfig):
+    """(fresh one-restart sweep factory, stopping objective or None) of a solver."""
+    if solver == "gpem":
+        def gpem_sweep(P, S, diag):
+            numer = P * S
+            new = numer / numer.sum(axis=1)[:, None]
+            return new, delta_sums_add_at(graph, new)
+
+        return lambda: gpem_sweep, None
+    if solver == "convex":
+        d = graph.diagonal_terms()
+        denom = 2.0 * d + graph.theta_hat
+
+        def convex_sweep(P, S, diag):
+            P = clamped_simplex_sweep(P * graph.theta_hat + S + d, denom, graph.valid, diag)
+            return P, delta_sums_add_at(graph, P)
+
+        return lambda: convex_sweep, lambda P, S: _qp(P, S) + float((P * (1.0 - P) * d).sum())
+    gate = math.sqrt(config.objective_tolerance)
+
+    def cccp_sweep_factory():
+        tail = False
+
+        def sweep(P, S, diag):
+            nonlocal tail
+            P1 = cccp._plain_step(graph, P, S, diag)
+            S1 = delta_sums_add_at(graph, P1)
+            if not tail:
+                tail = _relative_change(_qp(P1, S1), _qp(P, S)) < gate
+            if tail:
+                X = tail_step(P, S, P1, S1)
+                if X is not P1:
+                    SX = delta_sums_add_at(graph, X)
+                    if _qp(X, SX) >= _qp(P1, S1):
+                        P1, S1 = X, SX
+            return P1, S1
+
+        return sweep
+
+    return cccp_sweep_factory, None
+
+
+def _relative_change(new: float, old: float) -> float:
+    return abs(new - old) / max(1.0, abs(new))
+
+
+def restarts_reference(solver: str, mrf: PairwiseMRF, config: SolverConfig) -> SolveReport:
+    """A CCCP-family solve ("cccp", "convex" or "gpem") run one restart at a
+    time: the reference for the batched `run_restarts`."""
+    prepared, offset = model.prepare_model(mrf)
+    graph = PackedGraph(prepared)
+    make_sweep, convex_objective = _reference_solver(solver, graph, config)
+    diag = Diagnostics() if config.collect_diagnostics else None
+    best: Optional[SolveReport] = None
+    restarts_converged: List[bool] = []
+    restarts_final: List[float] = []
+    for r in range(config.restarts):
+        P = init_beliefs(graph, config, restart_rng(config, r))
+        S = delta_sums_add_at(graph, P)
+        sweep = make_sweep()
+        trace: List[TraceRecord] = []
+        prev = convex_objective(P, S) if convex_objective else _qp(P, S)
+        for it in range(1, config.max_outer_iterations + 1):
+            P, S = sweep(P, S, diag)
+            qp = _qp(P, S)
+            cvx = convex_objective(P, S) if convex_objective else None
+            a = graph.decode(P)
+            integral = graph.assignment_value(a) - offset.shift_total
+            trace.append(TraceRecord(it, qp, integral, cvx))
+            cur = cvx if convex_objective else qp
+            converged = _relative_change(cur, prev) < config.objective_tolerance
+            if converged:
+                break
+            prev = cur
+        restarts_converged.append(converged)
+        restarts_final.append(cur)
+        integral = model.evaluate_assignment(mrf, a)
+        if best is None or integral > best.integral_objective:
+            best = SolveReport(
+                assignment=a,
+                integral_objective=integral,
+                trace=trace,
+                beliefs=graph.unpack_beliefs(P),
+                iterations=it,
+                converged=converged,
+                restart_index=r,
+                restarts_converged=[],
+            )
+    assert best is not None
+    best.restarts_converged = restarts_converged
+    best.restarts_final_objective = restarts_final
+    best.diagnostics = diag
     return best

@@ -17,6 +17,7 @@ from qpmap.uai import parse_uai, write_uai
 from oracles import (
     brute_force_map,
     em_multiplicative_update,
+    pack_beliefs,
     pg_maximize_convex_relaxation,
 )
 
@@ -150,11 +151,11 @@ def test_criterion_06_em_equivalence():
         prepared, _ = prepare_model(m)
         g = PackedGraph(prepared)
         beliefs = [rng.dirichlet(np.ones(k)) for k in m.cardinalities]
-        sweep = gpem._sweep_factory(g)
-        P = g.pack_beliefs(beliefs)
+        sweep = gpem._Sweep(g)
+        P = pack_beliefs(g, beliefs)
         S = g.delta_sums(P)
         for _ in range(4):
-            P, S = sweep(P, S, None)
+            P, S = sweep(P, S, None, None)
             beliefs = em_multiplicative_update(prepared, beliefs)
             for i, ref in enumerate(beliefs):
                 worst = max(worst, float(np.abs(P[i, : len(ref)] - ref).max()))

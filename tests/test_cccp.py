@@ -9,7 +9,7 @@ from qpmap.common import SolverConfig, init_beliefs, restart_rng
 from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from qpmap.model import DegenerateNodeError, ModelError, PairwiseMRF, prepare_model
 from qpmap.packed import PackedGraph, clamped_simplex_sweep
-from oracles import brute_force_map, inner_loop, pg_node_subproblem
+from oracles import brute_force_map, inner_loop, outer_iteration, pack_beliefs, pg_node_subproblem, tail_step, theta
 
 TWO_NODE_TABLE = np.array([[2.0, 0.0], [0.0, 1.0]])
 
@@ -29,7 +29,7 @@ def plain_step_gradient(monkeypatch, g, P):
     """The gradient that CCCP's plain step hands to the clamped update."""
     seen = []
     monkeypatch.setattr(cccp, "clamped_simplex_sweep", lambda grad, *rest: seen.append(grad))
-    cccp.outer_iteration(g, P)
+    outer_iteration(g, P)
     return seen[0]
 
 
@@ -162,9 +162,9 @@ class TestInnerLoop:
 class TestOuterIteration:
     def test_worked_two_node(self):
         g = cccp.setup(two_node())
-        P = g.pack_beliefs([np.array([0.5, 0.5])] * 2)
+        P = pack_beliefs(g, [np.array([0.5, 0.5])] * 2)
         assert g.qp_objective(P) == pytest.approx(0.75)
-        P = cccp.outer_iteration(g, P)
+        P = outer_iteration(g, P)
         assert np.allclose(P, [[2 / 3, 1 / 3]] * 2)
         assert g.qp_objective(P) == pytest.approx(
             (2 / 3) ** 2 * 2 + (1 / 3) ** 2 * 1
@@ -172,20 +172,21 @@ class TestOuterIteration:
 
     def test_integral_fixed_point(self):
         g = cccp.setup(two_node())
-        P = g.pack_beliefs([np.array([1.0, 0.0])] * 2)
-        assert np.allclose(cccp.outer_iteration(g, P), P)
+        P = pack_beliefs(g, [np.array([1.0, 0.0])] * 2)
+        assert np.allclose(outer_iteration(g, P), P)
 
     def test_monotone_on_random_instances(self):
         rng = np.random.default_rng(3)
         for trial in range(20):
             m = gen_random_mrf(6, int(rng.integers(2, 4)), seed=trial)
             g = cccp.setup(m)
-            P = g.pack_beliefs(
+            P = pack_beliefs(
+                g,
                 [rng.dirichlet(np.ones(k)) for k in m.cardinalities]
             )
             prev = g.qp_objective(P)
             for _ in range(25):
-                P = cccp.outer_iteration(g, P)
+                P = outer_iteration(g, P)
                 cur = g.qp_objective(P)
                 assert cur >= prev - 1e-9
                 prev = cur
@@ -201,12 +202,12 @@ class TestOuterIteration:
         m = PairwiseMRF(cards, edges, tables)
         g = cccp.setup(m)
         beliefs = [rng.dirichlet(np.ones(k)) for k in cards]
-        P = g.pack_beliefs(beliefs)
-        swept = cccp.outer_iteration(g, P)
+        P = pack_beliefs(g, beliefs)
+        swept = outer_iteration(g, P)
         for i in range(m.num_nodes):
             delta_sum = np.zeros(cards[i])
-            for j in m.neighbors(i):
-                delta_sum += beliefs[j] @ m.theta(j, i)
+            for j in m.adjacency[i]:
+                delta_sum += beliefs[j] @ theta(m, j, i)
             theta_hat = g.theta_hat[i, : cards[i]]
             ref = inner_loop(beliefs[i] * theta_hat + delta_sum, theta_hat).beliefs
             assert np.allclose(swept[i, : cards[i]], ref, atol=1e-12)
@@ -255,8 +256,8 @@ def mixed_cardinality_graph(seed):
 
 
 def plain_step_pair(g, rng):
-    P = g.pack_beliefs([rng.dirichlet(np.ones(k)) for k in g.card])
-    P1 = cccp.outer_iteration(g, P)
+    P = pack_beliefs(g, [rng.dirichlet(np.ones(k)) for k in g.card])
+    P1 = outer_iteration(g, P)
     return P, g.delta_sums(P), P1, g.delta_sums(P1)
 
 
@@ -276,13 +277,47 @@ class TestTailStep:
         for seed in range(20):
             g, rng = mixed_cardinality_graph(seed)
             P, S, P1, S1 = plain_step_pair(g, rng)
-            X = cccp.tail_step(P, S, P1, S1)
+            X = tail_step(P, S, P1, S1)
             extrapolated += X is not P1
             assert np.all(X >= 0.0)
             assert np.all(X[~g.valid] == 0.0)
             assert np.allclose(X.sum(axis=1), 1.0, rtol=0, atol=1e-12)
             assert g.qp_objective(X) >= g.qp_objective(P1) - 1e-12
         assert extrapolated > 0
+
+    def test_batched_matches_one_restart_reference(self):
+        g, rng = mixed_cardinality_graph(3)
+        P = np.stack([pack_beliefs(g, [rng.dirichlet(np.ones(k)) for k in g.card]) for _ in range(6)])
+        S = g.delta_sums(P)
+        P1 = cccp._plain_step(g, P, S)
+        P1[4] = P[4]  # no step at all
+        S1 = g.delta_sums(P1)
+        S[5] = S1[5] = 0.0  # a flat ray: t = 1 and t_max tie, and t = 1 must win
+        moved, X = cccp._tail_steps(P, S, P1, S1)
+        assert len(moved) > 0
+        for r in range(6):
+            p1 = P1[r]
+            ref = tail_step(P[r], S[r], p1, S1[r])
+            if r in moved:
+                assert ref is not p1 and np.array_equal(X[list(moved).index(r)], ref)
+            else:
+                assert ref is p1
+        assert 4 not in moved and 5 not in moved
+
+    def test_line_search_step_kept_only_if_no_lower(self, monkeypatch):
+        # restart 0 is offered its start (below its plain step), restart 1
+        # a second plain step (no lower): only the second is taken
+        g, rng = mixed_cardinality_graph(4)
+        P = np.stack([pack_beliefs(g, [rng.dirichlet(np.ones(k)) for k in g.card]) for _ in range(2)])
+        S = g.delta_sums(P)
+        P1 = cccp._plain_step(g, P, S)
+        P2 = cccp._plain_step(g, P1, g.delta_sums(P1))
+        assert g.qp_objective(P[0]) < g.qp_objective(P1[0])
+        assert g.qp_objective(P1[1]) <= g.qp_objective(P2[1])
+        monkeypatch.setattr(cccp, "_tail_steps", lambda *_: (np.arange(2), np.stack([P[0], P2[1]])))
+        out, S_out = cccp._sweep_factory(g, np.inf, 2)(P, S, np.arange(2), None)
+        assert np.array_equal(out, np.stack([P1[0], P2[1]]))
+        assert np.array_equal(S_out, g.delta_sums(out))
 
     def test_zero_tolerance_never_opens_gate(self):
         m = gen_random_mrf(8, 3, seed=5)
@@ -292,7 +327,7 @@ class TestTailStep:
         P = init_beliefs(g, config, restart_rng(config, 0))
         expected = []
         for _ in range(config.max_outer_iterations):
-            P = cccp.outer_iteration(g, P)
+            P = outer_iteration(g, P)
             expected.append(g.qp_objective(P))
         assert [t.qp_objective for t in rep.trace] == expected
         assert all(np.array_equal(b, e) for b, e in zip(rep.beliefs, g.unpack_beliefs(P)))

@@ -13,6 +13,7 @@ from oracles import (
     indicator_beliefs,
     inner_loop,
     mixed_cardinality_mrf,
+    pack_beliefs,
     pg_maximize_convex_relaxation,
     uniform_beliefs,
 )
@@ -31,12 +32,12 @@ def diagonal_terms(m):
 def convex_objective(m, beliefs):
     """The relaxed objective as `solve_convex` evaluates it."""
     g = PackedGraph(m)
-    return convex._packed_convex_objective(g, g.diagonal_terms(), g.pack_beliefs(beliefs))
+    return convex._packed_convex_objective(g, g.diagonal_terms(), pack_beliefs(g, beliefs))
 
 
 def qp_objective(m, beliefs):
     g = PackedGraph(m)
-    return g.qp_objective(g.pack_beliefs(beliefs))
+    return g.qp_objective(pack_beliefs(g, beliefs))
 
 
 class TestDiagonalTerms:

@@ -1,12 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
 
 from qpmap import gpem
 from qpmap.common import SolverConfig, init_beliefs, restart_rng
-from qpmap.generators import gen_random_mrf
+from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from qpmap.model import DegenerateNodeError, PairwiseMRF, prepare_model
 from qpmap.packed import PackedGraph
-from oracles import em_multiplicative_update
+from oracles import em_multiplicative_update, pack_beliefs
 
 TWO_NODE_TABLE = np.array([[2.0, 0.0], [0.0, 1.0]])
 
@@ -19,7 +21,7 @@ def gp_sweep(m, P):
     """One GP-EM sweep as `solve_gp` runs it."""
     g = PackedGraph(m)
     P = np.asarray(P, dtype=float)
-    return gpem._sweep_factory(g)(P, g.delta_sums(P), None)[0]
+    return gpem._Sweep(g)(P, g.delta_sums(P), None, None)[0]
 
 
 class TestGpUpdate:
@@ -87,7 +89,7 @@ class TestSolveGp:
         )
         prepared, _ = prepare_model(m)
         g = PackedGraph(prepared)
-        P = g.pack_beliefs(rep.beliefs)
+        P = pack_beliefs(g, rep.beliefs)
         S = g.delta_sums(P)
         for i, p in enumerate(rep.beliefs):
             support = p > 1e-7
@@ -102,11 +104,11 @@ def test_trace_reads_the_iterated_step():
     config = SolverConfig(restarts=1, seed=3, max_outer_iterations=60, objective_tolerance=0.0)
     rep = gpem.solve_gp(m, config)
     g = PackedGraph(prepare_model(m)[0])
-    sweep = gpem._sweep_factory(g)
+    sweep = gpem._Sweep(g)
     P = init_beliefs(g, config, restart_rng(config, 0))
     expected = []
     for _ in range(config.max_outer_iterations):
-        P = sweep(P, g.delta_sums(P), None)[0]
+        P = sweep(P, g.delta_sums(P), None, None)[0]
         expected.append(g.qp_objective(P))
     assert [t.qp_objective for t in rep.trace] == expected
     assert rep.restarts_final_objective == [expected[-1]]
@@ -120,11 +122,38 @@ def test_matches_reference_em_update():
         prepared, _ = prepare_model(m)
         g = PackedGraph(prepared)
         beliefs = [rng.dirichlet(np.ones(k)) for k in m.cardinalities]
-        sweep = gpem._sweep_factory(g)
-        P = g.pack_beliefs(beliefs)
+        sweep = gpem._Sweep(g)
+        P = pack_beliefs(g, beliefs)
         S = g.delta_sums(P)
         for _ in range(5):
-            P, S = sweep(P, S, None)
+            P, S = sweep(P, S, None, None)
             beliefs = em_multiplicative_update(prepared, beliefs)
             for i, ref in enumerate(beliefs):
                 assert np.allclose(P[i, : len(ref)], ref, atol=1e-12)
+
+
+def test_underflow_logged_once_per_solve(caplog):
+    # almost every sweep underflows some entry here; the solve logs one line
+    # carrying the total over all restarts and sweeps
+    m = gen_ising_grid(IsingSpec(20, 20, 1.0, seed=4))
+    config = SolverConfig(restarts=3, max_outer_iterations=300, seed=7)
+    with caplog.at_level(logging.WARNING, logger="qpmap.gpem"):
+        gpem.solve_gp(m, config)
+    records = [r for r in caplog.records if "underflow" in r.getMessage()]
+    assert len(records) == 1
+    g = PackedGraph(prepare_model(m)[0])
+    total = 0
+    for r in range(config.restarts):
+        sweep = gpem._Sweep(g)
+        P = init_beliefs(g, config, restart_rng(config, r))
+        S = g.delta_sums(P)
+        prev = g.qp_objective(P, S)
+        for _ in range(config.max_outer_iterations):
+            P, S = sweep(P, S, None, None)
+            cur = g.qp_objective(P, S)
+            if abs(cur - prev) / max(1.0, abs(cur)) < config.objective_tolerance:
+                break
+            prev = cur
+        total += sweep.underflows
+    assert total > 0
+    assert records[0].args == (total,)

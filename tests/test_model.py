@@ -21,6 +21,8 @@ from oracles import (
     convex_relaxation_objective,
     indicator_beliefs,
     mixed_cardinality_mrf,
+    pack_beliefs,
+    theta,
     uniform_beliefs,
 )
 
@@ -37,13 +39,13 @@ def chain3_identity():
 def qp_objective(m, beliefs):
     """PackedGraph.qp_objective on per-node belief vectors."""
     g = PackedGraph(m)
-    return g.qp_objective(g.pack_beliefs(beliefs))
+    return g.qp_objective(pack_beliefs(g, beliefs))
 
 
 def decode(beliefs):
     """PackedGraph.decode on per-node belief vectors of an edgeless model."""
     g = PackedGraph(PairwiseMRF(tuple(len(p) for p in beliefs), (), ()))
-    return g.decode(g.pack_beliefs(beliefs))
+    return g.decode(pack_beliefs(g, beliefs))
 
 
 class TestEvaluateAssignment:
@@ -192,8 +194,8 @@ class TestModelValidation:
 
     def test_transpose_view(self):
         m = PairwiseMRF((2, 3), ((0, 1),), (np.arange(6.0).reshape(2, 3),))
-        assert np.array_equal(m.theta(1, 0), m.theta(0, 1).T)
-        assert np.shares_memory(m.theta(1, 0), m.theta(0, 1))
+        assert np.array_equal(theta(m, 1, 0), theta(m, 0, 1).T)
+        assert np.shares_memory(theta(m, 1, 0), theta(m, 0, 1))
 
 
 @settings(max_examples=40, deadline=None)
