@@ -6,12 +6,9 @@ from .model import (
     DegenerateNodeError,
     InvalidAssignmentError,
     ModelError,
-    ObjectiveOffset,
     PairwiseMRF,
     UnsupportedModelError,
-    absorb_unary,
     evaluate_assignment,
-    normalize_nonnegative,
     prepare_model,
 )
 from .uai import UaiParseError, parse_uai, write_uai
@@ -30,12 +27,9 @@ __all__ = [
     "DegenerateNodeError",
     "InvalidAssignmentError",
     "ModelError",
-    "ObjectiveOffset",
     "PairwiseMRF",
     "UnsupportedModelError",
-    "absorb_unary",
     "evaluate_assignment",
-    "normalize_nonnegative",
     "prepare_model",
     "UaiParseError",
     "parse_uai",

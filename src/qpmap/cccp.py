@@ -29,25 +29,8 @@ import numpy as np
 
 from . import model
 from .common import SolverConfig, SolveReport, relative_change, run_restarts
-from .model import ModelError, PairwiseMRF
+from .model import PairwiseMRF
 from .packed import PackedGraph, clamped_simplex_sweep, row_sums
-
-
-def setup(mrf: PairwiseMRF) -> PackedGraph:
-    """Build the packed graph and validate solvability.
-
-    Requires a nonnegative-normalized, unary-free model whose per-node
-    row sums theta_hat are strictly positive everywhere (the belief update
-    divides by them).  Isolated nodes fail this check.
-    """
-    if mrf.has_unaries():
-        raise ModelError("solver requires a unary-free model; call prepare_model first")
-    for (i, j), t in zip(mrf.edges, mrf.tables):
-        if t.size and t.min() < 0:
-            raise ModelError(f"edge ({i},{j}) has negative entries; normalize first")
-    graph = PackedGraph(mrf)
-    graph.require_positive(graph.theta_hat, "theta_hat")
-    return graph
 
 
 def _plain_step(graph: PackedGraph, P: np.ndarray, S: np.ndarray, diag=None) -> np.ndarray:
@@ -111,7 +94,9 @@ def _sweep_factory(graph: PackedGraph, gate: float, restarts: int):
 def solve(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> SolveReport:
     """Best-of-restarts solve; reports objectives on the original model scale."""
     config = config or SolverConfig()
-    prepared, offset = model.prepare_model(mrf)
-    graph = setup(prepared)
+    prepared, shift = model.prepare_model(mrf)
+    graph = PackedGraph(prepared)
+    # the belief update divides by theta_hat; isolated nodes fail here
+    graph.require_positive(graph.theta_hat, "theta_hat")
     gate = math.sqrt(config.objective_tolerance)
-    return run_restarts(mrf, graph, offset, config, _sweep_factory(graph, gate, config.restarts))
+    return run_restarts(mrf, graph, shift, config, _sweep_factory(graph, gate, config.restarts))

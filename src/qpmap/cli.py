@@ -60,7 +60,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         mrf = uai.parse_uai(Path(args.input).read_text())
         if args.log_transform:
             mrf = _log_transform(mrf)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except UaiParseError as exc:
@@ -86,22 +86,34 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
+    if args.trace:
+        try:
+            _write_trace(args.trace, report)
+        except OSError as exc:
+            print(f"error: cannot write {args.trace}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     print("assignment:", " ".join(str(x) for x in report.assignment))
     print(f"objective: {report.integral_objective:.10g}")
     print(f"iterations: {report.iterations}")
     print(f"converged: {report.converged}")
     print(f"wall_time_s: {elapsed:.4f}")
-    if args.trace:
-        _write_trace(args.trace, report)
     return EXIT_OK
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.kind == "ising":
-        mrf = gen_ising_grid(IsingSpec(args.rows, args.cols, args.beta, seed=args.seed))
-    else:
-        mrf = gen_random_mrf(args.nodes, args.labels, args.density, args.scale, args.seed)
-    Path(args.output).write_text(uai.write_uai(mrf))
+    try:
+        if args.kind == "ising":
+            mrf = gen_ising_grid(IsingSpec(args.rows, args.cols, args.beta, seed=args.seed))
+        else:
+            mrf = gen_random_mrf(args.nodes, args.labels, args.density, args.scale, args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        Path(args.output).write_text(uai.write_uai(mrf))
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(f"wrote {args.output}: {mrf.num_nodes} variables, {len(mrf.edges)} edges")
     return EXIT_OK
 

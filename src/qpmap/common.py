@@ -9,7 +9,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import model
-from .model import ObjectiveOffset, PairwiseMRF
+from .model import PairwiseMRF
 from .packed import Diagnostics, PackedGraph
 
 INIT_MODES = ("uniform", "uniform-perturbed", "random-dirichlet")
@@ -87,7 +87,7 @@ def relative_change(new, old):
 def run_restarts(
     original: PairwiseMRF,
     graph: PackedGraph,
-    offset: ObjectiveOffset,
+    shift: float,
     config: SolverConfig,
     sweep: Callable,
     convex_objective: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
@@ -102,8 +102,9 @@ def run_restarts(
     change of `convex_objective(P, S)` if given, else of the bilinear
     objective, and leaves the stack.  Each restart's sums are taken on their
     own, so the report is bit-identical to solving the restarts one at a
-    time.  The winner (the first of ties) has the best decoded objective on
-    the original model.
+    time.  Traced decoded values are `graph`'s less `shift`, the total that
+    `prepare_model` added.  The winner (the first of ties) has the best
+    decoded objective on the original model.
     """
     diag = Diagnostics() if config.collect_diagnostics else None
     R, budget = config.restarts, config.max_outer_iterations
@@ -124,7 +125,7 @@ def run_restarts(
         cur = convex_objective(P, S) if convex_objective else qp
         a = graph.decode(P)
         row = np.full((3, R), np.nan)
-        row[:, live] = qp, graph.assignment_value(a) - offset.shift_total, cur
+        row[:, live] = qp, graph.assignment_value(a) - shift, cur
         history.append(row)
         done = relative_change(cur, prev) < config.objective_tolerance
         stop, prev = done | (it == budget), cur

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import model
 from .common import SolverConfig, SolveReport, run_restarts
-from .model import ModelError, PairwiseMRF
+from .model import PairwiseMRF
 from .packed import PackedGraph, clamped_simplex_sweep, row_sums
 
 
@@ -33,9 +33,7 @@ def solve_convex(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> Sol
     the assignment is the per-node argmax decode.
     """
     config = config or SolverConfig(restarts=1)
-    prepared, offset = model.prepare_model(mrf)
-    if prepared.has_unaries():
-        raise ModelError("unary absorption failed")
+    prepared, shift = model.prepare_model(mrf)
     graph = PackedGraph(prepared)
     d = graph.diagonal_terms()
     denom = 2.0 * d + graph.theta_hat
@@ -46,6 +44,6 @@ def solve_convex(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> Sol
         return P, graph.delta_sums(P)
 
     return run_restarts(
-        mrf, graph, offset, config, sweep,
+        mrf, graph, shift, config, sweep,
         convex_objective=lambda P, S: _packed_convex_objective(graph, d, P, S),
     )

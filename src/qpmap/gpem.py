@@ -50,10 +50,10 @@ def solve_gp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> SolveRe
     Underflowing entries are counted over the solve and logged once.
     """
     config = config or SolverConfig()
-    prepared, offset = model.prepare_model(mrf)
+    prepared, shift = model.prepare_model(mrf)
     graph = PackedGraph(prepared)
     sweep = _Sweep(graph)
-    report = run_restarts(mrf, graph, offset, config, sweep)
+    report = run_restarts(mrf, graph, shift, config, sweep)
     if sweep.underflows:
         log.warning("multiplicative update underflowed on %d entries", sweep.underflows)
     return report

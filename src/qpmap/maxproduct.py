@@ -138,7 +138,7 @@ def solve_mp(
     decoded objective on the original model.
     """
     config = config or SolverConfig(max_outer_iterations=1000)
-    prepared, offset = model.prepare_model(mrf)
+    prepared, shift = model.prepare_model(mrf)
     graph = PackedGraph(prepared)
     mp = _MpGraph(graph)
     if damping is None:
@@ -164,7 +164,7 @@ def solve_mp(
         M = new
         B = mp.incoming(M)
         a = graph.decode(B.transpose(0, 2, 1))
-        vals = graph.assignment_value(a) - offset.shift_total
+        vals = graph.assignment_value(a) - shift
         row = np.full(R, np.nan)
         row[live] = vals
         history.append(row)

@@ -55,7 +55,7 @@ class PairwiseMRF:
     cardinalities: per-node label count k_i.
     edges: unordered node pairs, stored canonically with i < j.
     tables: one dense k_i x k_j array per edge, aligned with `edges`.
-    unaries: optional per-node vectors, present only before absorption.
+    unaries: optional per-node vectors; `prepare_model` folds them into the tables.
     """
 
     cardinalities: Tuple[int, ...]
@@ -124,23 +124,6 @@ class PairwiseMRF:
             nbrs[j].append(i)
         return tuple(tuple(sorted(x)) for x in nbrs)
 
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
-
-    def has_unaries(self) -> bool:
-        return bool(self.unaries)
-
-
-@dataclass(frozen=True)
-class ObjectiveOffset:
-    """Total constant added during nonnegativity normalization.
-
-    For every assignment, objective on the original model equals the
-    shifted-model objective minus `shift_total`.
-    """
-
-    shift_total: float
-
 
 def check_assignment(mrf: PairwiseMRF, a: Sequence[int]) -> np.ndarray:
     a = np.asarray(a, dtype=int)
@@ -164,48 +147,34 @@ def evaluate_assignment(mrf: PairwiseMRF, a: Sequence[int]) -> float:
     return float(total)
 
 
-def normalize_nonnegative(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, ObjectiveOffset]:
-    """Shift each edge table so its minimum entry is >= 0.
+def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
+    """The solver-ready form: a unary-free model with nonnegative tables.
 
-    Already-nonnegative tables are left unchanged.  The returned offset is
-    the sum of per-edge shifts, so original-scale objectives are
-    recoverable by subtraction.
+    One pass over the edges: each unary u_i is split evenly over node i's
+    incident tables (u_i/deg(i) added to the rows of each, u_j/deg(j) to the
+    columns), then each table is shifted so its minimum entry is 0.  A table
+    that needs neither step is reused, not copied.  Returns the prepared
+    model and the total shift: for every assignment, the original objective
+    equals the prepared one minus the shift.
     """
-    shift_total = 0.0
-    new_tables = []
-    for t in mrf.tables:
-        lo = float(t.min()) if t.size else 0.0
-        if lo < 0.0:
-            new_tables.append(t - lo)
-            shift_total += -lo
-        else:
-            new_tables.append(t)
-    shifted = PairwiseMRF(mrf.cardinalities, mrf.edges, tuple(new_tables), mrf.unaries)
-    return shifted, ObjectiveOffset(shift_total)
-
-
-def absorb_unary(mrf: PairwiseMRF) -> PairwiseMRF:
-    """Fold unary vectors into incident edge tables, split evenly by degree.
-
-    Exact for every assignment: node i's unary u_i contributes u_i/deg(i)
-    to the matching row of each incident table.
-    """
-    if not mrf.has_unaries():
-        return mrf if mrf.unaries is None else PairwiseMRF(mrf.cardinalities, mrf.edges, mrf.tables)
-    for i in mrf.unaries:
-        if mrf.degree(i) == 0:
+    if not mrf.num_nodes:
+        raise UnsupportedModelError("model has no variables")
+    unaries = mrf.unaries or {}
+    deg = np.bincount(np.asarray(mrf.edges, dtype=int).ravel(), minlength=mrf.num_nodes)
+    for i in unaries:
+        if deg[i] == 0:
             raise UnsupportedModelError(f"unary on isolated node {i} cannot be absorbed")
-    new_tables = []
+    share = {i: u / deg[i] for i, u in unaries.items()}
+    shift_total = 0.0
+    tables = []
     for (i, j), t in zip(mrf.edges, mrf.tables):
-        t = t.copy()
-        if i in mrf.unaries:
-            t += (mrf.unaries[i] / mrf.degree(i))[:, None]
-        if j in mrf.unaries:
-            t += (mrf.unaries[j] / mrf.degree(j))[None, :]
-        new_tables.append(t)
-    return PairwiseMRF(mrf.cardinalities, mrf.edges, tuple(new_tables))
-
-
-def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, ObjectiveOffset]:
-    """Absorb unaries, then shift tables nonnegative: the solver-ready form."""
-    return normalize_nonnegative(absorb_unary(mrf))
+        if i in share:
+            t = t + share[i][:, None]
+        if j in share:
+            t = t + share[j][None, :]
+        lo = float(t.min())
+        if lo < 0.0:
+            t = t - lo
+            shift_total += -lo
+        tables.append(t)
+    return PairwiseMRF(mrf.cardinalities, mrf.edges, tuple(tables)), shift_total

@@ -266,7 +266,7 @@ def mp_restarts_reference(
     restart_noise: float = 0.01,
 ) -> SolveReport:
     """Max-product run one restart at a time: the reference for `solve_mp`."""
-    prepared, offset = model.prepare_model(mrf)
+    prepared, shift = model.prepare_model(mrf)
     graph = PackedGraph(prepared)
     valid_tgt = graph.valid[mp_directed_edges(graph)[1]]
     if damping is None:
@@ -289,7 +289,7 @@ def mp_restarts_reference(
             M = new
             iterations = it
             a = graph.decode(mp_incoming(graph, M))
-            integral = graph.assignment_value(a) - offset.shift_total
+            integral = graph.assignment_value(a) - shift
             trace.append(TraceRecord(it, integral, integral))
             if integral > best_val:
                 best_val, best_a = integral, a
@@ -422,7 +422,7 @@ def _relative_change(new: float, old: float) -> float:
 def restarts_reference(solver: str, mrf: PairwiseMRF, config: SolverConfig) -> SolveReport:
     """A CCCP-family solve ("cccp", "convex" or "gpem") run one restart at a
     time: the reference for the batched `run_restarts`."""
-    prepared, offset = model.prepare_model(mrf)
+    prepared, shift = model.prepare_model(mrf)
     graph = PackedGraph(prepared)
     make_sweep, convex_objective = _reference_solver(solver, graph, config)
     diag = Diagnostics() if config.collect_diagnostics else None
@@ -440,7 +440,7 @@ def restarts_reference(solver: str, mrf: PairwiseMRF, config: SolverConfig) -> S
             qp = _qp(P, S)
             cvx = convex_objective(P, S) if convex_objective else None
             a = graph.decode(P)
-            integral = graph.assignment_value(a) - offset.shift_total
+            integral = graph.assignment_value(a) - shift
             trace.append(TraceRecord(it, qp, integral, cvx))
             cur = cvx if convex_objective else qp
             converged = _relative_change(cur, prev) < config.objective_tolerance

@@ -1,7 +1,9 @@
 """The public API is what the README lists, and the names the benchmark
 harness in perfbench/ reaches into still exist."""
 
+import contextlib
 import importlib.util
+import io
 import re
 from pathlib import Path
 
@@ -23,6 +25,16 @@ def test_all_is_exactly_the_readme_list():
     assert set(qpmap.__all__) == readme_api()
     for name in qpmap.__all__:
         assert hasattr(qpmap, name)
+
+
+def test_readme_library_usage_runs():
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Library usage\n\n```python\n(.*?)^```", text, re.S | re.M)
+    assert block, "README has no library usage block"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block.group(1), {})
+    assert out.getvalue() == "[0 0] 2.0\n"
 
 
 def test_benchmark_trace_targets_exist():

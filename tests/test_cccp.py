@@ -7,7 +7,7 @@ from qpmap import cccp
 from qpmap.bench import BenchPlan, instance_seed
 from qpmap.common import SolverConfig, init_beliefs, restart_rng
 from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
-from qpmap.model import DegenerateNodeError, ModelError, PairwiseMRF, prepare_model
+from qpmap.model import DegenerateNodeError, PairwiseMRF, prepare_model
 from qpmap.packed import PackedGraph, clamped_simplex_sweep
 from oracles import brute_force_map, inner_loop, outer_iteration, pack_beliefs, pg_node_subproblem, tail_step, theta
 
@@ -34,8 +34,9 @@ def plain_step_gradient(monkeypatch, g, P):
 
 
 class TestSetup:
+    # a solve's set-up: the packed graph's theta_hat must be positive
     def test_theta_hat_two_node(self):
-        g = cccp.setup(two_node())
+        g = PackedGraph(two_node())
         assert np.allclose(g.theta_hat[0], [2.0, 1.0])
         assert np.allclose(g.theta_hat[1], [2.0, 1.0])
 
@@ -43,24 +44,19 @@ class TestSetup:
         # center node of a 4-neighbor star, all tables equal
         t = np.array([[1.0, 2.0], [3.0, 4.0]])
         m = PairwiseMRF((2,) * 5, ((0, 1), (0, 2), (0, 3), (0, 4)), (t,) * 4)
-        g = cccp.setup(m)
+        g = PackedGraph(m)
         assert np.allclose(g.theta_hat[0], 4 * t.sum(axis=1))
 
     def test_degenerate_row(self):
         m = PairwiseMRF((2, 2), ((0, 1),), (np.array([[1.0, 0.0], [0.0, 0.0]]),))
         with pytest.raises(DegenerateNodeError):
-            cccp.setup(m)
+            cccp.solve(m, SolverConfig(restarts=1))
 
     def test_isolated_node(self):
         m = PairwiseMRF((2, 2, 2), ((0, 1),), (np.ones((2, 2)),))
         with pytest.raises(DegenerateNodeError) as exc:
-            cccp.setup(m)
+            cccp.solve(m, SolverConfig(restarts=1))
         assert exc.value.node == 2
-
-    def test_rejects_unary_model(self):
-        m = PairwiseMRF((2, 2), ((0, 1),), (np.ones((2, 2)),), {0: np.zeros(2)})
-        with pytest.raises(ModelError):
-            cccp.setup(m)
 
 
 class TestDeltaMessage:
@@ -82,16 +78,16 @@ class TestDeltaMessage:
 
 class TestGradient:
     def test_uniform_two_node(self, monkeypatch):
-        g = plain_step_gradient(monkeypatch, cccp.setup(two_node()), np.full((2, 2), 0.5))
+        g = plain_step_gradient(monkeypatch, PackedGraph(two_node()), np.full((2, 2), 0.5))
         assert np.allclose(g[0], [2.0, 1.0])
 
     def test_zero(self, monkeypatch):
-        assert np.allclose(plain_step_gradient(monkeypatch, cccp.setup(two_node()), np.zeros((2, 2))), 0.0)
+        assert np.allclose(plain_step_gradient(monkeypatch, PackedGraph(two_node()), np.zeros((2, 2))), 0.0)
 
     def test_indicator_chain(self, monkeypatch):
         eye2 = np.eye(2) + 1.0
         m = PairwiseMRF((2, 2, 2), ((0, 1), (1, 2)), (eye2, eye2))
-        g = cccp.setup(m)
+        g = PackedGraph(m)
         P = np.array([[1.0, 0.0]] * 3)
         grad = plain_step_gradient(monkeypatch, g, P)[1]
         assert np.allclose(grad, P[1] * g.theta_hat[1] + 2 * eye2[:, 0])
@@ -161,7 +157,7 @@ class TestInnerLoop:
 
 class TestOuterIteration:
     def test_worked_two_node(self):
-        g = cccp.setup(two_node())
+        g = PackedGraph(two_node())
         P = pack_beliefs(g, [np.array([0.5, 0.5])] * 2)
         assert g.qp_objective(P) == pytest.approx(0.75)
         P = outer_iteration(g, P)
@@ -171,7 +167,7 @@ class TestOuterIteration:
         )
 
     def test_integral_fixed_point(self):
-        g = cccp.setup(two_node())
+        g = PackedGraph(two_node())
         P = pack_beliefs(g, [np.array([1.0, 0.0])] * 2)
         assert np.allclose(outer_iteration(g, P), P)
 
@@ -179,7 +175,7 @@ class TestOuterIteration:
         rng = np.random.default_rng(3)
         for trial in range(20):
             m = gen_random_mrf(6, int(rng.integers(2, 4)), seed=trial)
-            g = cccp.setup(m)
+            g = PackedGraph(m)
             P = pack_beliefs(
                 g,
                 [rng.dirichlet(np.ones(k)) for k in m.cardinalities]
@@ -200,7 +196,7 @@ class TestOuterIteration:
             rng.uniform(0.1, 1.0, size=(cards[i], cards[j])) for i, j in edges
         )
         m = PairwiseMRF(cards, edges, tables)
-        g = cccp.setup(m)
+        g = PackedGraph(m)
         beliefs = [rng.dirichlet(np.ones(k)) for k in cards]
         P = pack_beliefs(g, beliefs)
         swept = outer_iteration(g, P)
@@ -252,7 +248,7 @@ def mixed_cardinality_graph(seed):
     cards = (2, 4, 3, 2, 3)
     edges = ((0, 1), (1, 2), (2, 3), (0, 2), (3, 4), (1, 4))
     tables = tuple(rng.uniform(0.0, 1.0, size=(cards[i], cards[j])) for i, j in edges)
-    return cccp.setup(PairwiseMRF(cards, edges, tables)), rng
+    return PackedGraph(PairwiseMRF(cards, edges, tables)), rng
 
 
 def plain_step_pair(g, rng):
@@ -323,7 +319,7 @@ class TestTailStep:
         m = gen_random_mrf(8, 3, seed=5)
         config = SolverConfig(restarts=1, seed=3, max_outer_iterations=60, objective_tolerance=0.0)
         rep = cccp.solve(m, config)
-        g = cccp.setup(prepare_model(m)[0])
+        g = PackedGraph(prepare_model(m)[0])
         P = init_beliefs(g, config, restart_rng(config, 0))
         expected = []
         for _ in range(config.max_outer_iterations):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qpmap import cli
-from qpmap.model import PairwiseMRF
+from qpmap.bench import SOLVERS
+from qpmap.common import SolverConfig
+from qpmap.model import PairwiseMRF, UnsupportedModelError
 from qpmap.uai import parse_uai, write_uai
 
 MINIMAL = """MARKOV
@@ -92,6 +94,25 @@ class TestSolve:
         assert err.startswith("error:") and field in err
         assert len(err.splitlines()) == 1
 
+    def test_non_utf8_input(self, tmp_path, capsys):
+        p = tmp_path / "binary.uai"
+        p.write_bytes(b"MARKOV\n\xff\xfe\x00\n")
+        rc = cli.main(["solve", "--input", str(p)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_PARSE
+        assert err.startswith(f"error: cannot read {p}") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_no_variables_is_unsupported(self, tmp_path, capsys, solver):
+        with pytest.raises(UnsupportedModelError, match="no variables"):
+            SOLVERS[solver][0](PairwiseMRF((), (), ()), SolverConfig(restarts=1))
+        p = tmp_path / "empty.uai"
+        p.write_text("MARKOV\n0\n0\n")
+        rc = cli.main(["solve", "--input", str(p), "--solver", solver])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DEGENERATE
+        assert err == "error: model has no variables\n"
+
     def test_log_transform_rejects_nonpositive(self, tmp_path, capsys):
         rc = cli.main(["solve", "--input", write_minimal(tmp_path), "--log-transform"])
         assert rc == cli.EXIT_PARSE
@@ -145,6 +166,22 @@ class TestGenerate:
         # a single isolated variable has no pairwise structure to optimize
         rc = cli.main(["solve", "--input", str(out)])
         assert rc == cli.EXIT_DEGENERATE
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "ising", "--rows", "0", "--cols", "3", "--beta", "1.0", "--output", "{tmp}/g.uai"],
+    ["generate", "random", "--nodes", "1", "--labels", "2", "--output", "{tmp}/r.uai"],
+    ["generate", "random", "--nodes", "4", "--labels", "2", "--output", "{tmp}/missing/r.uai"],
+    ["solve", "--input", "{model}", "--restarts", "1", "--trace", "{tmp}/missing/t.csv"],
+], ids=["ising-rows-0", "random-nodes-1", "unwritable-output", "unwritable-trace"])
+def test_bad_parameter_or_path_is_input_error(tmp_path, capsys, argv):
+    model = write_minimal(tmp_path)
+    rc = cli.main([x.format(tmp=tmp_path, model=model) for x in argv])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_PARSE
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.uai"]
 
 
 class TestBench:

@@ -52,9 +52,7 @@ class TestDiagonalTerms:
 
     def test_half_theta_hat_when_nonnegative(self):
         m = gen_random_mrf(5, 3, seed=2)
-        from qpmap.cccp import setup
-
-        g = setup(m)
+        g = PackedGraph(m)
         for i, di in enumerate(diagonal_terms(m)):
             assert np.allclose(di, g.theta_hat[i] / 2.0)
 

@@ -34,7 +34,7 @@ class TestIsingGrid:
 
     def test_unary_bound(self):
         m = gen_ising_grid(IsingSpec(4, 4, beta=1.0, seed=3))
-        assert m.has_unaries()
+        assert m.unaries
         for u in m.unaries.values():
             assert u[0] == -u[1]
             assert abs(u[0]) <= 0.05
@@ -100,4 +100,4 @@ class TestRandomMrf:
             assert np.array_equal(ta, tb)
 
     def test_no_unaries(self):
-        assert not gen_random_mrf(5, 2, seed=0).has_unaries()
+        assert not gen_random_mrf(5, 2, seed=0).unaries

@@ -10,9 +10,7 @@ from qpmap.model import (
     ModelError,
     PairwiseMRF,
     UnsupportedModelError,
-    absorb_unary,
     evaluate_assignment,
-    normalize_nonnegative,
     prepare_model,
 )
 from qpmap.packed import PackedGraph
@@ -100,24 +98,25 @@ class TestQpObjective:
 
 
 class TestNormalizeNonnegative:
+    # prepare_model's shift: each table's minimum becomes 0
     def test_shift_by_min(self):
         m = PairwiseMRF((2, 2), ((0, 1),), (np.array([[1.0, -1.0], [0.0, 2.0]]),))
-        shifted, off = normalize_nonnegative(m)
+        shifted, shift = prepare_model(m)
         assert np.array_equal(shifted.tables[0], [[2.0, 0.0], [1.0, 3.0]])
-        assert off.shift_total == 1.0
+        assert shift == 1.0
 
     def test_nonnegative_unchanged(self):
         m = two_node()
-        shifted, off = normalize_nonnegative(m)
+        shifted, shift = prepare_model(m)
         assert shifted.tables[0] is m.tables[0]
-        assert off.shift_total == 0.0
+        assert shift == 0.0
 
     def test_ising_edge(self):
         d = -0.7
         m = PairwiseMRF((2, 2), ((0, 1),), (np.array([[d, -d], [-d, d]]),))
-        shifted, off = normalize_nonnegative(m)
+        shifted, shift = prepare_model(m)
         assert np.allclose(shifted.tables[0], [[0.0, 1.4], [1.4, 0.0]])
-        assert off.shift_total == pytest.approx(0.7)
+        assert shift == pytest.approx(0.7)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ModelError):
@@ -132,32 +131,30 @@ class TestNormalizeNonnegative:
                 edges.append((i, i + 1))
                 tables.append(rng.normal(size=(2, 2)))
             m = PairwiseMRF((2,) * n, tuple(edges), tuple(tables))
-            shifted, off = normalize_nonnegative(m)
+            shifted, shift = prepare_model(m)
             a0, v0 = brute_force_map(m)
             a1, v1 = brute_force_map(shifted)
             assert np.array_equal(a0, a1)
-            assert v1 - off.shift_total == pytest.approx(v0, abs=1e-10)
+            assert v1 - shift == pytest.approx(v0, abs=1e-10)
 
 
 class TestAbsorbUnary:
+    # prepare_model's unary step: u_i/deg(i) goes to each incident table
     def test_degree_one(self):
         m = PairwiseMRF(
             (2, 2), ((0, 1),), (np.zeros((2, 2)),), {0: np.array([0.3, -0.3])}
         )
-        out = absorb_unary(m)
-        assert not out.has_unaries()
-        assert np.allclose(out.tables[0], [[0.3, 0.3], [-0.3, -0.3]])
-
-    def test_no_unaries_identity(self):
-        m = two_node()
-        assert absorb_unary(m) is m
+        out, shift = prepare_model(m)
+        assert not out.unaries
+        assert np.allclose(out.tables[0] - shift, [[0.3, 0.3], [-0.3, -0.3]])
 
     def test_degree_two_preserves_all_assignments(self):
         eye = np.eye(2)
         m = PairwiseMRF(
             (2, 2, 2), ((0, 1), (1, 2)), (eye, eye), {1: np.array([0.4, 0.0])}
         )
-        out = absorb_unary(m)
+        out, shift = prepare_model(m)
+        assert shift == 0.0
         assert np.allclose(out.tables[0][:, 0], eye[:, 0] + 0.2)
         for a in itertools.product(range(2), repeat=3):
             assert evaluate_assignment(out, a) == pytest.approx(evaluate_assignment(m, a))
@@ -165,7 +162,15 @@ class TestAbsorbUnary:
     def test_isolated_node_rejected(self):
         m = PairwiseMRF((2, 2, 2), ((0, 1),), (np.eye(2),), {2: np.ones(2)})
         with pytest.raises(UnsupportedModelError):
-            absorb_unary(m)
+            prepare_model(m)
+
+    def test_untouched_table_reused(self):
+        # only the table next to the unary node is new
+        eye = np.eye(2)
+        m = PairwiseMRF((2, 2, 2), ((0, 1), (1, 2)), (eye, 2 * eye), {0: np.array([0.4, 0.0])})
+        out, _ = prepare_model(m)
+        assert out.tables[0] is not m.tables[0]
+        assert out.tables[1] is m.tables[1]
 
 
 class TestDecode:
@@ -213,9 +218,35 @@ def test_prepare_model_pipeline():
         (np.array([[0.5, -0.5], [-0.5, 0.5]]),),
         {0: np.array([0.1, -0.1]), 1: np.array([-0.2, 0.2])},
     )
-    prepared, off = prepare_model(m)
-    assert not prepared.has_unaries()
+    prepared, shift = prepare_model(m)
+    assert not prepared.unaries
     assert min(t.min() for t in prepared.tables) >= 0.0
     for a in itertools.product(range(2), repeat=2):
-        fast = evaluate_assignment(prepared, a) - off.shift_total
+        fast = evaluate_assignment(prepared, a) - shift
         assert fast == pytest.approx(evaluate_assignment(m, a), abs=1e-12)
+
+
+def test_prepare_model_rejects_no_variables():
+    with pytest.raises(UnsupportedModelError, match="no variables"):
+        prepare_model(PairwiseMRF((), (), ()))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_prepare_model_is_exact_on_mixed_models(seed):
+    # mixed cardinalities, mixed-sign tables, unaries on some connected nodes
+    rng = np.random.default_rng(seed)
+    base = mixed_cardinality_mrf(rng, n_max=5, k_max=4)
+    unaries = {i: rng.normal(size=k) for i, k in enumerate(base.cardinalities) if rng.random() < 0.6}
+    m = PairwiseMRF(base.cardinalities, base.edges, base.tables, unaries)
+    prepared, shift = prepare_model(m)
+    assert not prepared.unaries
+    u = [unaries.get(i, np.zeros(k)) / len(nbrs)
+         for i, (k, nbrs) in enumerate(zip(m.cardinalities, m.adjacency))]
+    for (i, j), t, orig in zip(m.edges, prepared.tables, m.tables):
+        absorbed = orig + u[i][:, None] + u[j][None, :]
+        assert t.min() >= 0.0
+        if absorbed.min() < 0.0:
+            assert t.min() == 0.0
+    for a in itertools.product(*(range(k) for k in m.cardinalities)):
+        assert evaluate_assignment(prepared, a) - shift == pytest.approx(evaluate_assignment(m, a), abs=1e-9)

@@ -23,7 +23,7 @@ class TestParse:
         assert m.cardinalities == (2, 2)
         assert m.edges == ((0, 1),)
         assert np.array_equal(m.tables[0], [[2.0, 0.0], [0.0, 1.0]])
-        assert not m.has_unaries()
+        assert not m.unaries
 
     def test_comments_ignored(self):
         m = parse_uai(MINIMAL.replace("MARKOV", "MARKOV  # preamble comment"))
