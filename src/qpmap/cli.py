@@ -19,7 +19,6 @@ from .bench import SOLVERS, BenchPlan
 from .common import SolverConfig, SolveReport
 from .generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from .model import DegenerateNodeError, ModelError, PairwiseMRF
-from .uai import UaiParseError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -31,7 +30,7 @@ def _log_transform(mrf: PairwiseMRF) -> PairwiseMRF:
 
     def check(a, what):
         if np.any(np.asarray(a) <= 0.0):
-            raise UaiParseError(0, f"--log-transform requires strictly positive {what}")
+            raise ValueError(f"--log-transform requires strictly positive {what}")
         return np.log(a)
 
     tables = tuple(check(t, "table entries") for t in mrf.tables)
@@ -63,7 +62,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except UaiParseError as exc:
+    except ValueError as exc:  # a UaiParseError, or a table --log-transform cannot take
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -142,15 +141,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
+    outdir = Path(args.output_dir)
+    try:  # the directory is made first, so a bad one fails before the run
+        outdir.mkdir(parents=True, exist_ok=True)
         result = bench.run_benchmark(plan)
+        (outdir / "summary.csv").write_text(bench.summary_csv(result))
+        (outdir / "gains.csv").write_text(bench.gains_csv(result))
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "summary.csv").write_text(bench.summary_csv(result))
-    (outdir / "gains.csv").write_text(bench.gains_csv(result))
+    except OSError as exc:
+        print(f"error: cannot write {outdir}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(bench.summary_csv(result), end="")
     print(f"wrote {outdir}/summary.csv and {outdir}/gains.csv")
     return EXIT_OK

@@ -41,11 +41,16 @@ class DegenerateNodeError(ModelError):
         super().__init__(f"node {node}: {message}")
 
 
-def _as_table(t) -> np.ndarray:
-    a = np.asarray(t, dtype=float)
-    if a.ndim != 2:
-        raise ModelError(f"edge table must be 2-D, got shape {a.shape}")
-    return a
+def _first_nonfinite(arrays: List[np.ndarray]) -> Optional[int]:
+    """Index of the first array with a nan or inf entry, or None (one `isfinite` per 2**16 entries)."""
+    start = size = 0
+    for end, a in enumerate(arrays, start=1):
+        size += a.size
+        if size >= 1 << 16 or end == len(arrays):
+            if not np.isfinite(np.concatenate([x.ravel() for x in arrays[start:end]])).all():
+                return next(e for e in range(start, end) if not np.isfinite(arrays[e]).all())
+            start, size = end, 0
+    return None
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,9 @@ class PairwiseMRF:
         if len(self.edges) != len(self.tables):
             raise ModelError("edges and tables must align")
         for (i, j), t in zip(self.edges, self.tables):
-            t = _as_table(t)
+            t = np.asarray(t, dtype=float)
+            if t.ndim != 2:
+                raise ModelError(f"edge table must be 2-D, got shape {t.shape}")
             if i == j:
                 raise ModelError(f"self-loop on node {i}")
             if not (0 <= i < n and 0 <= j < n):
@@ -88,12 +95,13 @@ class PairwiseMRF:
                     f"edge ({i},{j}) table shape {t.shape} != "
                     f"({self.cardinalities[i]},{self.cardinalities[j]})"
                 )
-            if not np.all(np.isfinite(t)):
-                raise ModelError(f"edge ({i},{j}) table has non-finite entries")
             t = np.ascontiguousarray(t)
             t.flags.writeable = False
             canon_edges.append((i, j))
             canon_tables.append(t)
+        bad = _first_nonfinite(canon_tables)
+        if bad is not None:
+            raise ModelError("edge ({},{}) table has non-finite entries".format(*canon_edges[bad]))
         object.__setattr__(self, "edges", tuple(canon_edges))
         object.__setattr__(self, "tables", tuple(canon_tables))
         object.__setattr__(self, "cardinalities", tuple(int(k) for k in self.cardinalities))
@@ -105,11 +113,12 @@ class PairwiseMRF:
                     raise ModelError(f"unary on node {i} out of range")
                 if u.shape != (self.cardinalities[i],):
                     raise ModelError(f"unary on node {i} has shape {u.shape}")
-                if not np.all(np.isfinite(u)):
-                    raise ModelError(f"unary on node {i} has non-finite entries")
                 u = u.copy()
                 u.flags.writeable = False
                 clean[i] = u
+            bad = _first_nonfinite(list(clean.values()))
+            if bad is not None:
+                raise ModelError(f"unary on node {list(clean)[bad]} has non-finite entries")
             object.__setattr__(self, "unaries", clean)
 
     @property
@@ -147,34 +156,49 @@ def evaluate_assignment(mrf: PairwiseMRF, a: Sequence[int]) -> float:
     return float(total)
 
 
+def _trusted(cardinalities, edges, tables) -> PairwiseMRF:
+    """A unary-free model from valid, canonical parts, not validated again."""
+    mrf = object.__new__(PairwiseMRF)
+    mrf.__dict__.update(cardinalities=cardinalities, edges=edges, tables=tables, unaries=None)
+    return mrf
+
+
 def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
     """The solver-ready form: a unary-free model with nonnegative tables.
 
-    One pass over the edges: each unary u_i is split evenly over node i's
-    incident tables (u_i/deg(i) added to the rows of each, u_j/deg(j) to the
-    columns), then each table is shifted so its minimum entry is 0.  A table
-    that needs neither step is reused, not copied.  Returns the prepared
+    Each unary u_i is split evenly over node i's incident tables (u_i/deg(i)
+    added to the rows of each, u_j/deg(j) to the columns), then each table
+    is shifted so its minimum entry is 0, one stack of (k_i, k_j) tables at
+    a time; a table that needs neither step is reused.  Returns the prepared
     model and the total shift: for every assignment, the original objective
     equals the prepared one minus the shift.
     """
     if not mrf.num_nodes:
         raise UnsupportedModelError("model has no variables")
-    unaries = mrf.unaries or {}
-    deg = np.bincount(np.asarray(mrf.edges, dtype=int).ravel(), minlength=mrf.num_nodes)
-    for i in unaries:
+    src, tgt = np.asarray(mrf.edges, dtype=int).reshape(-1, 2).T
+    deg = np.bincount(np.concatenate([src, tgt]), minlength=mrf.num_nodes)
+    cards = np.asarray(mrf.cardinalities)
+    has, share = np.zeros(mrf.num_nodes, dtype=bool), np.zeros((mrf.num_nodes, cards.max()))
+    for i, u in (mrf.unaries or {}).items():
         if deg[i] == 0:
             raise UnsupportedModelError(f"unary on isolated node {i} cannot be absorbed")
-    share = {i: u / deg[i] for i, u in unaries.items()}
-    shift_total = 0.0
-    tables = []
-    for (i, j), t in zip(mrf.edges, mrf.tables):
-        if i in share:
-            t = t + share[i][:, None]
-        if j in share:
-            t = t + share[j][None, :]
-        lo = float(t.min())
-        if lo < 0.0:
-            t = t - lo
-            shift_total += -lo
-        tables.append(t)
-    return PairwiseMRF(mrf.cardinalities, mrf.edges, tuple(tables)), shift_total
+        has[i], share[i, :len(u)] = True, u
+    share[has] /= deg[has, None]  # row i: u_i / deg(i), zero-padded
+    touched = has[src] | has[tgt]
+    # each table's minimum once unaries are added; an untouched table is not copied to find it
+    lo = np.array([0.0 if tch else t.min() for tch, t in zip(touched.tolist(), mrf.tables)])
+    rewrite, shape = touched | (lo < 0.0), cards[src] * (cards.max() + 1) + cards[tgt]
+    tables = list(mrf.tables)
+    for code in np.unique(shape[rewrite]):
+        idx = np.flatnonzero(rewrite & (shape == code))
+        rows, cols = src[idx], tgt[idx]
+        group = np.array([tables[e] for e in idx])
+        np.add(group, share[rows, :group.shape[1], None], out=group, where=has[rows, None, None])
+        np.add(group, share[cols, None, :group.shape[2]], out=group, where=has[cols, None, None])
+        lo[idx] = low = group.min(axis=(1, 2))
+        np.subtract(group, low[:, None, None], out=group, where=(low < 0.0)[:, None, None])
+        group.flags.writeable = False
+        for e, t in zip(idx, group):
+            tables[e] = t
+    shift_total = float(np.cumsum(np.append(0.0, -lo[lo < 0.0]))[-1])  # summed in edge order
+    return _trusted(mrf.cardinalities, mrf.edges, tuple(tables)), shift_total

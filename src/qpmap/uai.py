@@ -4,11 +4,15 @@ Tables are read as additive potentials in the linear domain (not the
 probability convention); callers ingesting genuinely probabilistic files
 can log-transform after parsing.  `#` starts a comment on read; the writer
 never emits one.  The writer is canonical: byte-identical output for equal
-models.
+models.  The reader makes one pass over the tokens and converts all table
+entries at once; line numbers are counted only for an error, which is the
+first fault in file order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -22,47 +26,21 @@ class UaiParseError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-def _tokenize(text: str) -> List[Tuple[str, int]]:
-    toks = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
-        for tok in line.split():
-            toks.append((tok, lineno))
-    return toks
+def _line_of(text: str, index: int) -> int:
+    """Line of token `index`; past the last token, the last token's line (1 if none)."""
+    ends = list(accumulate(len(line.split("#", 1)[0].split()) for line in text.splitlines()))
+    return bisect_right(ends, min(index, ends[-1] - 1)) + 1 if ends and ends[-1] else 1
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    @property
-    def last_line(self) -> int:
-        return self.toks[-1][1] if self.toks else 1
-
-    def next(self, what: str) -> Tuple[str, int]:
-        if self.pos >= len(self.toks):
-            raise UaiParseError(self.last_line, f"unexpected end of input, expected {what}")
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def next_int(self, what: str) -> Tuple[int, int]:
-        tok, line = self.next(what)
+def _leading_floats(tokens: List[str]) -> List[float]:
+    """The tokens as floats, up to the first one that is not a float."""
+    out: List[float] = []
+    for tok in tokens:
         try:
-            return int(tok), line
+            out.append(float(tok))
         except ValueError:
-            raise UaiParseError(line, f"expected {what}, got {tok!r}") from None
-
-    def next_float(self, what: str) -> Tuple[float, int]:
-        tok, line = self.next(what)
-        try:
-            return float(tok), line
-        except ValueError:
-            raise UaiParseError(line, f"expected {what}, got {tok!r}") from None
-
-    def done(self) -> bool:
-        return self.pos >= len(self.toks)
+            break
+    return out
 
 
 def parse_uai(text: str) -> PairwiseMRF:
@@ -72,70 +50,96 @@ def parse_uai(text: str) -> PairwiseMRF:
     tables, canonically oriented; repeated scopes over the same pair or
     node are summed.  Factors of arity > 2 are rejected.
     """
-    r = _Reader(text)
-    header, line = r.next("MARKOV header")
-    if header.upper() != "MARKOV":
-        raise UaiParseError(line, f"expected MARKOV header, got {header!r}")
-    n, line = r.next_int("variable count")
+    toks = (" ".join(line.split("#", 1)[0] for line in text.splitlines()) if "#" in text else text).split()
+    ntok = len(toks)
+
+    def error(i: int, message: str) -> UaiParseError:
+        return UaiParseError(_line_of(text, i), message)
+
+    def int_at(i: int, what: str) -> int:
+        if i >= ntok:
+            raise error(i, f"unexpected end of input, expected {what}")
+        try:
+            return int(toks[i])
+        except ValueError:
+            raise error(i, f"expected {what}, got {toks[i]!r}") from None
+
+    if not ntok or toks[0].upper() != "MARKOV":
+        raise error(0, f"expected MARKOV header, got {toks[0]!r}" if ntok else
+                    "unexpected end of input, expected MARKOV header")
+    n = int_at(1, "variable count")
     if n < 0:
-        raise UaiParseError(line, "negative variable count")
+        raise error(1, "negative variable count")
     cards = []
     for v in range(n):
-        k, line = r.next_int(f"cardinality of variable {v}")
-        if k < 1:
-            raise UaiParseError(line, f"variable {v} has cardinality {k}")
-        cards.append(k)
-    nf, _ = r.next_int("factor count")
+        cards.append(int_at(2 + v, f"cardinality of variable {v}"))
+        if cards[v] < 1:
+            raise error(2 + v, f"variable {v} has cardinality {cards[v]}")
+    nf, pos = int_at(2 + n, "factor count"), 3 + n
     scopes: List[Tuple[int, ...]] = []
     for f in range(nf):
-        arity, line = r.next_int(f"arity of factor {f}")
+        arity = int_at(pos, f"arity of factor {f}")
         if arity not in (1, 2):
-            raise UaiParseError(line, f"factor {f} has unsupported arity {arity}; only unary and pairwise supported")
+            raise error(pos, f"factor {f} has unsupported arity {arity}; only unary and pairwise supported")
         scope = []
-        for _ in range(arity):
-            v, line = r.next_int(f"scope variable of factor {f}")
-            if not 0 <= v < n:
-                raise UaiParseError(line, f"factor {f} references variable {v}, out of range")
-            scope.append(v)
+        for p in range(pos + 1, pos + 1 + arity):
+            scope.append(int_at(p, f"scope variable of factor {f}"))
+            if not 0 <= scope[-1] < n:
+                raise error(p, f"factor {f} references variable {scope[-1]}, out of range")
         if arity == 2 and scope[0] == scope[1]:
-            raise UaiParseError(line, f"factor {f} repeats variable {scope[0]} in its scope")
+            raise error(pos + 2, f"factor {f} repeats variable {scope[0]} in its scope")
         scopes.append(tuple(scope))
+        pos += 1 + arity
 
+    # The scopes fix where each count sits, as long as the counts before it
+    # match.  A fault found is `pending` until no earlier entry is at fault.
+    sizes = [cards[s[0]] * cards[s[1]] if len(s) == 2 else cards[s[0]] for s in scopes]
+    first, counts, pending = pos, [], None
+    for f, size in enumerate(sizes):
+        try:
+            if (count := int_at(pos, f"entry count of factor {f}")) != size:
+                raise error(pos, f"factor {f} declares {count} entries, scope implies {size}")
+        except UaiParseError as exc:
+            pending = exc
+            break
+        counts.append(pos)
+        pos += 1 + size
+    span = toks[first:min(pos, ntok)]
+    try:
+        vals = np.array(list(map(float, span)))
+    except ValueError:
+        vals = np.array(_leading_floats(span))
+    stop = first + len(vals)  # entries from here on are missing or not floats
+    if stop < pos:
+        g = bisect_right(counts, stop) - 1
+        what = f"entry {stop - counts[g] - 1} of factor {g}"
+        pending = error(stop, f"expected {what}, got {toks[stop]!r}" if stop < ntok else
+                        f"unexpected end of input, expected {what}")
+    if (nonfinite := np.flatnonzero(~np.isfinite(vals))).size:
+        g = bisect_right(counts, first + nonfinite[0]) - 1
+        if counts[g] + sizes[g] < stop:
+            raise error(counts[g] + sizes[g], f"factor {g} has non-finite entries")
+    if pending is not None:
+        raise pending
+    if pos < ntok:
+        raise error(pos, f"trailing content {toks[pos]!r}")
+
+    # each factor's entries follow its count; a unary sum starts from 0 + entries
+    plus_zero = vals + 0.0
     unaries: Dict[int, np.ndarray] = {}
     edge_tables: Dict[Tuple[int, int], np.ndarray] = {}
-    edge_order: List[Tuple[int, int]] = []
-    for f, scope in enumerate(scopes):
-        expected = int(np.prod([cards[v] for v in scope]))
-        count, line = r.next_int(f"entry count of factor {f}")
-        if count != expected:
-            raise UaiParseError(line, f"factor {f} declares {count} entries, scope implies {expected}")
-        vals = np.empty(count)
-        for e in range(count):
-            vals[e], line = r.next_float(f"entry {e} of factor {f}")
-        if not np.all(np.isfinite(vals)):
-            raise UaiParseError(line, f"factor {f} has non-finite entries")
+    for scope, c, size in zip(scopes, counts, sizes):
+        lo = c + 1 - first
         if len(scope) == 1:
             (i,) = scope
-            unaries[i] = unaries.get(i, np.zeros(cards[i])) + vals
+            unaries[i] = unaries[i] + vals[lo:lo + size] if i in unaries else plus_zero[lo:lo + size]
         else:
             i, j = scope
-            t = vals.reshape(cards[i], cards[j])
+            t = vals[lo:lo + size].reshape(cards[i], cards[j])
             if i > j:
                 i, j, t = j, i, t.T
-            if (i, j) in edge_tables:
-                edge_tables[(i, j)] = edge_tables[(i, j)] + t
-            else:
-                edge_tables[(i, j)] = t
-                edge_order.append((i, j))
-    if not r.done():
-        tok, line = r.next("end of input")
-        raise UaiParseError(line, f"trailing content {tok!r}")
-    return PairwiseMRF(
-        tuple(cards),
-        tuple(edge_order),
-        tuple(edge_tables[e] for e in edge_order),
-        unaries or None,
-    )
+            edge_tables[(i, j)] = edge_tables[(i, j)] + t if (i, j) in edge_tables else t
+    return PairwiseMRF(tuple(cards), tuple(edge_tables), tuple(edge_tables.values()), unaries or None)
 
 
 def _fmt(x: float) -> str:

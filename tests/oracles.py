@@ -3,7 +3,8 @@
 Most of this is deliberately written without the package's packed
 message-passing machinery: brute-force enumeration, naive per-edge loops,
 projected-gradient ascent with sort-based simplex projection, the
-scalar per-node clamped update, and per-node belief fixtures.  The
+scalar per-node clamped update, per-node belief fixtures, the per-token
+UAI reader and the per-edge solver-ready form.  The
 restart references run one restart at a time on a `PackedGraph`, with
 `np.add.at` scatters (and a broadcast max for max-product); the batched
 solvers must match them exactly.
@@ -14,14 +15,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from qpmap import cccp, maxproduct, model
 from qpmap.common import SolverConfig, SolveReport, TraceRecord, init_beliefs, restart_rng
-from qpmap.model import DegenerateNodeError, PairwiseMRF, check_assignment
+from qpmap.model import DegenerateNodeError, PairwiseMRF, UnsupportedModelError, check_assignment
 from qpmap.packed import Diagnostics, PackedGraph, clamped_simplex_sweep
+from qpmap.uai import UaiParseError
 
 
 def brute_force_map(mrf: PairwiseMRF) -> Tuple[np.ndarray, float]:
@@ -466,3 +468,140 @@ def restarts_reference(solver: str, mrf: PairwiseMRF, config: SolverConfig) -> S
     best.restarts_final_objective = restarts_final
     best.diagnostics = diag
     return best
+
+
+def _tokenize(text: str) -> List[Tuple[str, int]]:
+    toks = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0]
+        for tok in line.split():
+            toks.append((tok, lineno))
+    return toks
+
+
+class _Reader:
+    def __init__(self, text: str):
+        self.toks = _tokenize(text)
+        self.pos = 0
+
+    @property
+    def last_line(self) -> int:
+        return self.toks[-1][1] if self.toks else 1
+
+    def next(self, what: str) -> Tuple[str, int]:
+        if self.pos >= len(self.toks):
+            raise UaiParseError(self.last_line, f"unexpected end of input, expected {what}")
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def next_int(self, what: str) -> Tuple[int, int]:
+        tok, line = self.next(what)
+        try:
+            return int(tok), line
+        except ValueError:
+            raise UaiParseError(line, f"expected {what}, got {tok!r}") from None
+
+    def next_float(self, what: str) -> Tuple[float, int]:
+        tok, line = self.next(what)
+        try:
+            return float(tok), line
+        except ValueError:
+            raise UaiParseError(line, f"expected {what}, got {tok!r}") from None
+
+    def done(self) -> bool:
+        return self.pos >= len(self.toks)
+
+
+def parse_uai_reference(text: str) -> PairwiseMRF:
+    """`uai.parse_uai` one token at a time, each carrying its line number."""
+    r = _Reader(text)
+    header, line = r.next("MARKOV header")
+    if header.upper() != "MARKOV":
+        raise UaiParseError(line, f"expected MARKOV header, got {header!r}")
+    n, line = r.next_int("variable count")
+    if n < 0:
+        raise UaiParseError(line, "negative variable count")
+    cards = []
+    for v in range(n):
+        k, line = r.next_int(f"cardinality of variable {v}")
+        if k < 1:
+            raise UaiParseError(line, f"variable {v} has cardinality {k}")
+        cards.append(k)
+    nf, _ = r.next_int("factor count")
+    scopes: List[Tuple[int, ...]] = []
+    for f in range(nf):
+        arity, line = r.next_int(f"arity of factor {f}")
+        if arity not in (1, 2):
+            raise UaiParseError(line, f"factor {f} has unsupported arity {arity}; only unary and pairwise supported")
+        scope = []
+        for _ in range(arity):
+            v, line = r.next_int(f"scope variable of factor {f}")
+            if not 0 <= v < n:
+                raise UaiParseError(line, f"factor {f} references variable {v}, out of range")
+            scope.append(v)
+        if arity == 2 and scope[0] == scope[1]:
+            raise UaiParseError(line, f"factor {f} repeats variable {scope[0]} in its scope")
+        scopes.append(tuple(scope))
+
+    unaries: Dict[int, np.ndarray] = {}
+    edge_tables: Dict[Tuple[int, int], np.ndarray] = {}
+    edge_order: List[Tuple[int, int]] = []
+    for f, scope in enumerate(scopes):
+        expected = int(np.prod([cards[v] for v in scope]))
+        count, line = r.next_int(f"entry count of factor {f}")
+        if count != expected:
+            raise UaiParseError(line, f"factor {f} declares {count} entries, scope implies {expected}")
+        vals = np.empty(count)
+        for e in range(count):
+            vals[e], line = r.next_float(f"entry {e} of factor {f}")
+        if not np.all(np.isfinite(vals)):
+            raise UaiParseError(line, f"factor {f} has non-finite entries")
+        if len(scope) == 1:
+            (i,) = scope
+            unaries[i] = unaries.get(i, np.zeros(cards[i])) + vals
+        else:
+            i, j = scope
+            t = vals.reshape(cards[i], cards[j])
+            if i > j:
+                i, j, t = j, i, t.T
+            if (i, j) in edge_tables:
+                edge_tables[(i, j)] = edge_tables[(i, j)] + t
+            else:
+                edge_tables[(i, j)] = t
+                edge_order.append((i, j))
+    if not r.done():
+        tok, line = r.next("end of input")
+        raise UaiParseError(line, f"trailing content {tok!r}")
+    return PairwiseMRF(
+        tuple(cards),
+        tuple(edge_order),
+        tuple(edge_tables[e] for e in edge_order),
+        unaries or None,
+    )
+
+
+def prepare_model_reference(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
+    """`model.prepare_model` one edge at a time: rows get u_i/deg(i), columns
+    u_j/deg(j), then a table with a negative entry is shifted to minimum 0."""
+    if not mrf.num_nodes:
+        raise UnsupportedModelError("model has no variables")
+    unaries = mrf.unaries or {}
+    deg = np.bincount(np.asarray(mrf.edges, dtype=int).ravel(), minlength=mrf.num_nodes)
+    for i in unaries:
+        if deg[i] == 0:
+            raise UnsupportedModelError(f"unary on isolated node {i} cannot be absorbed")
+    share = {i: u / deg[i] for i, u in unaries.items()}
+    shift_total = 0.0
+    tables = []
+    for (i, j), t in zip(mrf.edges, mrf.tables):
+        if i in share:
+            t = t + share[i][:, None]
+        if j in share:
+            t = t + share[j][None, :]
+        lo = float(t.min())
+        if lo < 0.0:
+            t = t - lo
+            shift_total += -lo
+        tables.append(t)
+    return PairwiseMRF(mrf.cardinalities, mrf.edges, tuple(tables)), shift_total

@@ -114,9 +114,11 @@ class TestSolve:
         assert err == "error: model has no variables\n"
 
     def test_log_transform_rejects_nonpositive(self, tmp_path, capsys):
-        rc = cli.main(["solve", "--input", write_minimal(tmp_path), "--log-transform"])
+        path = write_minimal(tmp_path)
+        rc = cli.main(["solve", "--input", path, "--log-transform"])
         assert rc == cli.EXIT_PARSE
-        assert "positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: --log-transform requires strictly positive table entries\n"
 
     def test_log_transform_positive_tables(self, tmp_path, capsys):
         m = PairwiseMRF((2, 2), ((0, 1),), (np.exp(np.array([[2.0, 0.0], [0.0, 1.0]])),))
@@ -208,6 +210,18 @@ class TestBench:
         assert rc == cli.EXIT_PARSE
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_unwritable_output_dir_is_input_error(self, tmp_path, capsys):
+        # a directory cannot be made under a regular file; nothing is solved
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        rc = cli.main(["bench", "--sizes", "2x2", "--betas", "1.0", "--instances", "1",
+                       "--restarts", "1", "--output-dir", str(out)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_PARSE
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
     def test_degenerate_grid_is_degenerate_error(self, tmp_path, capsys):
         # a 1x1 grid is one isolated node, as in the `generate` case above

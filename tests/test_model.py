@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpmap.generators import IsingSpec, gen_ising_grid
 from qpmap.model import (
     InvalidAssignmentError,
     ModelError,
@@ -20,6 +21,7 @@ from oracles import (
     indicator_beliefs,
     mixed_cardinality_mrf,
     pack_beliefs,
+    prepare_model_reference,
     theta,
     uniform_beliefs,
 )
@@ -121,6 +123,11 @@ class TestNormalizeNonnegative:
     def test_nonfinite_rejected(self):
         with pytest.raises(ModelError):
             PairwiseMRF((2, 2), ((0, 1),), (np.array([[np.nan, 0.0], [0.0, 0.0]]),))
+
+    def test_first_nonfinite_edge_is_named(self):
+        ok, bad = np.zeros((2, 2)), np.array([[0.0, np.inf], [0.0, 0.0]])
+        with pytest.raises(ModelError, match=r"^edge \(1,2\) table has non-finite"):
+            PairwiseMRF((2, 2, 2, 2), ((0, 1), (2, 1), (2, 3)), (ok, bad, np.full((2, 2), np.nan)))
 
     def test_preserves_argmax(self):
         rng = np.random.default_rng(5)
@@ -226,9 +233,25 @@ def test_prepare_model_pipeline():
         assert fast == pytest.approx(evaluate_assignment(m, a), abs=1e-12)
 
 
+def test_prepare_model_matches_reference_on_a_grid():
+    # hundreds of shifted tables: the shift must be summed in edge order
+    m = gen_ising_grid(IsingSpec(12, 12, beta=1.0, seed=3))
+    prepared, shift = prepare_model(m)
+    ref, ref_shift = prepare_model_reference(m)
+    assert shift == ref_shift
+    assert all(t.tobytes() == r.tobytes() for t, r in zip(prepared.tables, ref.tables))
+
+
 def test_prepare_model_rejects_no_variables():
     with pytest.raises(UnsupportedModelError, match="no variables"):
         prepare_model(PairwiseMRF((), (), ()))
+
+
+def _some_nonnegative(t):
+    # a table or unary that may need no shift, with a signed zero the shift must keep
+    t = np.abs(t)
+    t.flat[0] = -0.0
+    return t
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -237,9 +260,18 @@ def test_prepare_model_is_exact_on_mixed_models(seed):
     # mixed cardinalities, mixed-sign tables, unaries on some connected nodes
     rng = np.random.default_rng(seed)
     base = mixed_cardinality_mrf(rng, n_max=5, k_max=4)
+    tables = tuple(_some_nonnegative(t) if rng.random() < 0.4 else t for t in base.tables)
     unaries = {i: rng.normal(size=k) for i, k in enumerate(base.cardinalities) if rng.random() < 0.6}
-    m = PairwiseMRF(base.cardinalities, base.edges, base.tables, unaries)
+    unaries = {i: _some_nonnegative(u) if rng.random() < 0.4 else u for i, u in unaries.items()}
+    m = PairwiseMRF(base.cardinalities, base.edges, tables, unaries)
     prepared, shift = prepare_model(m)
+    ref, ref_shift = prepare_model_reference(m)
+    assert shift == ref_shift
+    assert prepared.edges == ref.edges and prepared.cardinalities == ref.cardinalities
+    for t, r, orig in zip(prepared.tables, ref.tables, m.tables):
+        assert t.shape == r.shape and t.tobytes() == r.tobytes()
+        assert not t.flags.writeable
+        assert (t is orig) == (r is orig)
     assert not prepared.unaries
     u = [unaries.get(i, np.zeros(k)) / len(nbrs)
          for i, (k, nbrs) in enumerate(zip(m.cardinalities, m.adjacency))]

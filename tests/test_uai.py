@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from qpmap.model import PairwiseMRF
 from qpmap.uai import UaiParseError, parse_uai, write_uai
+from oracles import parse_uai_reference
 
 MINIMAL = """MARKOV
 2
@@ -114,3 +117,130 @@ class TestRoundTrip:
         m = PairwiseMRF((2, 2), ((0, 1),), (t,))
         again = parse_uai(write_uai(m))
         assert np.array_equal(again.tables[0], t)
+
+
+# -- the one-pass reader against the per-token reference ----------------------
+
+ENTRY_FORMS = (repr, lambda x: format(x, ".17g"), lambda x: format(x, ".3e"), lambda x: str(int(x)))
+SPECIAL_ENTRIES = (0.0, -0.0, 1e-300, -2.5e300, 1.0, -1.0)
+
+
+def _noisy_separator(rng):
+    """Irregular whitespace between tokens, sometimes a line break with a comment."""
+    sep = str(rng.choice([" ", "  ", "\t", "\n", " \n\n", "\r\n", "\x0c"]))
+    if rng.random() < 0.1:
+        sep += "# comment 1 2 nan\n" if rng.random() < 0.5 else "\n#\n"
+    return sep
+
+
+def _random_uai_text(rng):
+    """A valid MARKOV file: mixed cardinalities, unaries, reversed and
+    repeated scopes, signed zeros, comments and irregular whitespace."""
+    n = int(rng.integers(1, 6))
+    cards = [int(k) for k in rng.integers(1, 5, size=n)]
+    scopes = []
+    for _ in range(int(rng.integers(0, 9))):
+        if n == 1 or rng.random() < 0.3:
+            scopes.append((int(rng.integers(n)),))
+        else:
+            i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+            scopes.append((i, j))
+    toks = ["markov" if rng.random() < 0.2 else "MARKOV", str(n), *map(str, cards), str(len(scopes))]
+    for s in scopes:
+        toks += [str(len(s)), *map(str, s)]
+    for s in scopes:
+        size = int(np.prod([cards[v] for v in s]))
+        toks.append(str(size))
+        for _ in range(size):
+            if rng.random() < 0.2:
+                x = float(rng.choice(SPECIAL_ENTRIES))
+            else:
+                x = float(rng.normal() * 10.0 ** int(rng.integers(-3, 4)))
+            form = ENTRY_FORMS[int(rng.integers(3))] if x != int(x) else ENTRY_FORMS[int(rng.integers(4))]
+            toks.append(form(x))
+    text = str(rng.choice(["", "# preamble\n", "\n\n"]))
+    for tok in toks:
+        text += tok + _noisy_separator(rng)
+    return text
+
+
+def assert_same_model(got, ref):
+    assert got.cardinalities == ref.cardinalities
+    assert got.edges == ref.edges
+    for a, b in zip(got.tables, ref.tables):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (got.unaries is None) == (ref.unaries is None)
+    if ref.unaries is not None:
+        assert list(got.unaries) == list(ref.unaries)
+        for i in ref.unaries:
+            assert got.unaries[i].tobytes() == ref.unaries[i].tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_parse_matches_reference(seed):
+    text = _random_uai_text(np.random.default_rng(seed))
+    assert_same_model(parse_uai(text), parse_uai_reference(text))
+
+
+def test_parse_matches_reference_on_a_grid_file():
+    text = write_uai(gen_ising_grid(IsingSpec(6, 7, beta=1.0, seed=2)))
+    assert_same_model(parse_uai(text), parse_uai_reference(text))
+
+
+HEAD = "MARKOV\n2\n2 3\n"
+MALFORMED = {
+    "empty": "",
+    "comment-only": "# nothing\n\n#\n",
+    "bad-header": "BAYES\n2\n2 2\n0\n",
+    "bad-int-variable-count": "MARKOV\ntwo\n",
+    "negative-variable-count": "MARKOV\n-1\n",
+    "truncated-cardinalities": "MARKOV\n3\n2 2\n",
+    "bad-int-cardinality": "MARKOV\n2\n2 x\n1\n",
+    "cardinality-0": "MARKOV\n2\n2 0\n0\n",
+    "truncated-factor-count": HEAD,
+    "bad-int-factor-count": HEAD + "1.0\n",
+    "truncated-scopes": HEAD + "2\n1 0\n2 0\n",
+    "bad-int-arity": HEAD + "1\nb 0 1\n",
+    "arity-3": HEAD + "1\n3 0 1 1\n",
+    "arity-0": HEAD + "2\n1 0\n0\n",
+    "repeated-variable": HEAD + "2\n1 1\n2 1 1\n",
+    "repeated-variable-across-lines": HEAD + "2\n1 1\n2 1\n1\n",
+    "out-of-range-variable": HEAD + "2\n1 0\n2 0 2\n",
+    "negative-variable": HEAD + "1\n1 -1\n",
+    "bad-int-scope": HEAD + "1\n2 0 one\n",
+    "truncated-first-count": HEAD + "1\n2 0 1\n",
+    "truncated-later-count": HEAD + "2\n1 0\n2 0 1\n\n2\n1 2\n",
+    "truncated-entries": HEAD + "1\n2 0 1\n\n6\n1 2 3\n",
+    "truncated-entries-before-count": HEAD + "2\n1 0\n1 1\n\n2\n1\n",
+    "truncated-after-nan": HEAD + "1\n1 1\n\n3\nnan 1\n",
+    "bad-int-count": HEAD + "1\n1 0\n\n2.0\n1 2\n",
+    "count-mismatch": HEAD + "1\n2 0 1\n\n5\n1 2 3 4 5\n",
+    "count-mismatch-later": HEAD + "2\n1 0\n2 1 0\n\n2\n1 2\n\n5\n1 2 3 4 5\n",
+    "bad-float": HEAD + "1\n2 0 1\n\n6\n1 2\n3 x\n5 6\n",
+    "bad-float-later": HEAD + "2\n1 0\n1 1\n\n2\n1 2\n\n3\n1 2 0x1\n",
+    "bad-float-after-nan-factor": HEAD + "2\n1 0\n1 1\n\n2\ninf 2\n\n3\n1 y 2\n",
+    "bad-float-in-nan-factor": HEAD + "1\n2 0 1\n\n6\nnan 1 2 3 z 5\n",
+    "bad-float-before-bad-count": HEAD + "2\n1 0\n1 1\n\n2\n1 q\n\nx\n1 2 3\n",
+    "nan-entry": HEAD + "1\n2 0 1\n\n6\n1 2\n3 nan\n5 6\n",
+    "inf-entry": HEAD + "2\n1 0\n1 1\n\n2\n1 2\n\n3\n1\n-inf\n3\n",
+    "overflowing-entry": HEAD + "1\n1 1\n\n3\n1 1e999 2\n",
+    "nan-before-count-mismatch": HEAD + "2\n1 0\n1 1\n\n2\nnan 2\n\n4\n1 2 3 4\n",
+    "nan-before-truncation": HEAD + "2\n1 0\n1 1\n\n2\nnan 2\n\n3\n1\n",
+    "trailing-content": HEAD + "1\n1 0\n\n2\n1 2\n99\n",
+    "trailing-after-negative-factor-count": HEAD + "-1\n7\n",
+    "comment-lines-shift-numbers": "# a\nMARKOV # b\n#\n2\n\n# c\n2 3\n1\n2 0 1\n# d\n#\n\n6\n1 2 3\n# e\n4 nan 6\n",
+    "comment-at-end-of-truncation": HEAD + "1\n2 0 1\n\n6\n1 2 3\n# the rest is missing\n\n",
+    "crlf-and-form-feed": "MARKOV\r\n2\x0c2 3\r\n1\r\n2 0 1\r\n\r\n6\r\n1 2 3\x0c4 5 six\r\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_fails_as_reference(text):
+    with pytest.raises(ValueError) as ref:
+        parse_uai_reference(text)
+    with pytest.raises(ValueError) as got:
+        parse_uai(text)
+    assert type(got.value) is type(ref.value) is UaiParseError
+    assert str(got.value) == str(ref.value)
+    assert got.value.line == ref.value.line
