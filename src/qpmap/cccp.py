@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import model
-from .common import SolverConfig, SolveReport, relative_change, run_restarts
+from .common import SolverConfig, SolveReport, relaxation_restarts, relative_change, run_restarts
 from .model import PairwiseMRF
 from .packed import PackedGraph, clamped_simplex_sweep, row_sums
 
@@ -99,4 +99,5 @@ def solve(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> SolveRepor
     # the belief update divides by theta_hat; isolated nodes fail here
     graph.require_positive(graph.theta_hat, "theta_hat")
     gate = math.sqrt(config.objective_tolerance)
-    return run_restarts(mrf, graph, shift, config, _sweep_factory(graph, gate, config.restarts))
+    sweep = _sweep_factory(graph, gate, config.restarts)
+    return run_restarts(mrf, config, *relaxation_restarts(graph, shift, config, sweep))

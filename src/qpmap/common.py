@@ -1,10 +1,10 @@
-"""Shared solver configuration, reporting, and the restart/sweep driver."""
+"""Shared solver configuration, reporting, and the restart driver of all four solvers."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +50,19 @@ class TraceRecord:
 
 @dataclass
 class SolveReport:
+    """A best-of-restarts solve: the winner's (restart `restart_index`, the
+    first of ties) `assignment`, `trace`, `beliefs`, `iterations` and
+    `converged`, and one entry per restart in the `restarts_*` lists.
+    On the original scale: `integral_objective` (the assignment's value on
+    the original model) and the trace's `integral_objective` (each sweep's
+    decode).  On the prepared scale, before `prepare_model`'s shift is taken
+    off: the CCCP family's trace `qp_objective` (bilinear) and
+    `convex_objective` (relaxed; convex solver only), and its
+    `restarts_final_objective` (each restart's last stopping objective).
+    Max-product traces its decode as `qp_objective` too, and its
+    `restarts_final_objective` is each restart's best decoded objective on
+    the original model."""
+
     assignment: np.ndarray
     integral_objective: float
     trace: List[TraceRecord]
@@ -84,69 +97,82 @@ def relative_change(new, old):
     return np.abs(new - old) / np.maximum(1.0, np.abs(new))
 
 
-def run_restarts(
-    original: PairwiseMRF,
-    graph: PackedGraph,
-    shift: float,
-    config: SolverConfig,
-    sweep: Callable,
-    convex_objective: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-) -> SolveReport:
-    """Best-of-restarts synchronous-sweep driver shared by the CCCP-family solvers.
+def relaxation_restarts(graph: PackedGraph, shift: float, config: SolverConfig, sweep: Callable,
+                        convex_objective: Optional[Callable] = None):
+    """`run_restarts`' start state, step, finish and diagnostics for a
+    CCCP-family solver.  Restart r starts from `init_beliefs` drawn with
+    `restart_rng(config, r)`; `sweep(P, S, live, diag)` maps the live
+    restarts' beliefs and messages S to the next ones, and every objective
+    is read off the carried S.  The change is relative, of `convex_objective`
+    if given, else of the bilinear objective; decodes are traced less `shift`."""
 
-    All restarts sweep as one (R, n, kmax) stack, restart r from beliefs
-    drawn with `restart_rng(config, r)`.  Their messages S = `delta_sums(P)`
-    are sent once; then `sweep(P, S, live, diag)` maps the stack of the live
-    restarts (indices `live`) to their next beliefs and messages, and every
-    objective is read off the carried S.  A restart stops on the relative
-    change of `convex_objective(P, S)` if given, else of the bilinear
-    objective, and leaves the stack.  Each restart's sums are taken on their
-    own, so the report is bit-identical to solving the restarts one at a
-    time.  Traced decoded values are `graph`'s less `shift`, the total that
-    `prepare_model` added.  The winner (the first of ties) has the best
-    decoded objective on the original model.
-    """
-    diag = Diagnostics() if config.collect_diagnostics else None
-    R, budget = config.restarts, config.max_outer_iterations
-    t0 = time.perf_counter()
-    P = np.stack([init_beliefs(graph, config, restart_rng(config, r)) for r in range(R)])
-    S = graph.delta_sums(P)
-    prev = (convex_objective or graph.qp_objective)(P, S)
-    final_P, final_a = np.empty_like(P), graph.decode(P)
-    final, iterations = np.empty(R), np.empty(R, dtype=int)
-    converged = np.zeros(R, dtype=bool)
-    history = []  # per sweep: qp, integral, stopping objective of every restart (NaN once stopped)
-    live = np.arange(R)
-    for it in range(1, budget + 1):
-        if not len(live):
-            break
+    def step(state, live, diag):
+        P, S, prev = state
         P, S = sweep(P, S, live, diag)
         qp = graph.qp_objective(P, S)
         cur = convex_objective(P, S) if convex_objective else qp
         a = graph.decode(P)
-        row = np.full((3, R), np.nan)
-        row[:, live] = qp, graph.assignment_value(a) - shift, cur
-        history.append(row)
-        done = relative_change(cur, prev) < config.objective_tolerance
-        stop, prev = done | (it == budget), cur
+        columns = (qp, graph.assignment_value(a) - shift) + ((cur,) if convex_objective else ())
+        return (P, S, cur), a, columns, relative_change(cur, prev)
+
+    def finish(final, w, finals):
+        P, _, objective = final
+        return graph.unpack_beliefs(P[w]), objective.tolist()
+
+    P = np.stack([init_beliefs(graph, config, restart_rng(config, r)) for r in range(config.restarts)])
+    S = graph.delta_sums(P)
+    diag = Diagnostics() if config.collect_diagnostics else None
+    return (P, S, (convex_objective or graph.qp_objective)(P, S)), step, finish, diag
+
+
+def run_restarts(original: PairwiseMRF, config: SolverConfig, state: Tuple[np.ndarray, ...],
+                 step: Callable, finish: Callable, diag: Optional[Diagnostics] = None) -> SolveReport:
+    """Best-of-restarts sweep driver shared by all four solvers.
+
+    `state` is a tuple of arrays with the restart on axis 0.  Each sweep,
+    `step(state, live, diag)` maps the live restarts' rows (indices `live`)
+    to their next state, the assignment each stands behind, its trace
+    columns (the `TraceRecord` fields after `iteration`) and its change.  A
+    restart stops once its change is below `config.objective_tolerance`, or
+    at the budget, and its rows move to the final state.  The winner `w`
+    (the first of ties) has the best assignment valued on the original
+    model; given those values, `finish(final, w, finals)` returns its
+    beliefs and every restart's final objective.
+    """
+    R, budget = config.restarts, config.max_outer_iterations
+    t0 = time.perf_counter()
+    final = tuple(np.empty_like(x) for x in state)
+    final_a = np.empty((R, original.num_nodes), dtype=np.intp)
+    iterations, converged = np.empty(R, dtype=int), np.zeros(R, dtype=bool)
+    history = []  # per sweep: the live restarts and their trace columns (fresh arrays, not copied)
+    live = np.arange(R)
+    for it in range(1, budget + 1):
+        if not len(live):
+            break
+        state, a, columns, change = step(state, live, diag)
+        history.append((live, columns))
+        done = change < config.objective_tolerance
+        stop = done | (it == budget)
         if stop.any():
             out, keep = live[stop], ~stop
-            final_P[out], final_a[out], final[out] = P[stop], a[stop], cur[stop]
-            iterations[out], converged[out] = it, done[stop]
-            live, P, S, prev = live[keep], P[keep], S[keep], prev[keep]
+            for f, x in zip(final, state):
+                f[out] = x[stop]
+            final_a[out], iterations[out], converged[out] = a[stop], it, done[stop]
+            live, state = live[keep], tuple(x[keep] for x in state)
     finals = [model.evaluate_assignment(original, x) for x in final_a]
     w = int(np.argmax(finals))
-    hist = np.array(history)[: iterations[w], :, w].tolist()
+    beliefs, final_objective = finish(final, w, finals)
     return SolveReport(
         assignment=final_a[w].copy(),
         integral_objective=finals[w],
-        trace=[TraceRecord(i, q, v, c if convex_objective else None) for i, (q, v, c) in enumerate(hist, 1)],
-        beliefs=graph.unpack_beliefs(final_P[w]),
+        trace=[TraceRecord(i, *(float(c[np.searchsorted(rows, w)]) for c in columns))
+               for i, (rows, columns) in enumerate(history[: iterations[w]], 1)],
+        beliefs=beliefs,
         iterations=int(iterations[w]),
         converged=bool(converged[w]),
         restart_index=w,
         restarts_converged=converged.tolist(),
-        restarts_final_objective=final.tolist(),
+        restarts_final_objective=final_objective,
         wall_time_s=time.perf_counter() - t0,
         diagnostics=diag,
     )

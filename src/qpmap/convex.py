@@ -8,12 +8,13 @@ The relaxed objective coincides with the bilinear one on integral beliefs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import model
-from .common import SolverConfig, SolveReport, run_restarts
+from .common import SolverConfig, SolveReport, relaxation_restarts, run_restarts
 from .model import PairwiseMRF
 from .packed import PackedGraph, clamped_simplex_sweep, row_sums
 
@@ -43,7 +44,5 @@ def solve_convex(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> Sol
         P = clamped_simplex_sweep(P * graph.theta_hat + S + d, denom, graph.valid, diag)
         return P, graph.delta_sums(P)
 
-    return run_restarts(
-        mrf, graph, shift, config, sweep,
-        convex_objective=lambda P, S: _packed_convex_objective(graph, d, P, S),
-    )
+    objective = partial(_packed_convex_objective, graph, d)
+    return run_restarts(mrf, config, *relaxation_restarts(graph, shift, config, sweep, objective))

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import model
-from .common import SolverConfig, SolveReport, run_restarts
+from .common import SolverConfig, SolveReport, relaxation_restarts, run_restarts
 from .model import DegenerateNodeError, PairwiseMRF
 from .packed import PackedGraph
 
@@ -53,7 +53,7 @@ def solve_gp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> SolveRe
     prepared, shift = model.prepare_model(mrf)
     graph = PackedGraph(prepared)
     sweep = _Sweep(graph)
-    report = run_restarts(mrf, graph, shift, config, sweep)
+    report = run_restarts(mrf, config, *relaxation_restarts(graph, shift, config, sweep))
     if sweep.underflows:
         log.warning("multiplicative update underflowed on %d entries", sweep.underflows)
     return report

@@ -7,25 +7,25 @@ objective seen over all iterations, since loopy max-product need not
 converge.  With damping 0 the fixed point on trees is the exact
 max-marginal of the table-product objective.
 
-All restarts are swept together as one message array, and a restart stops
-moving once its largest message change falls below the tolerance.  Every
-sum is taken in the order a one-restart-at-a-time solve takes it, so the
-report is bit-identical to solving the restarts one by one.
+All restarts sweep together as one message array on `run_restarts`, the
+driver the CCCP-family solvers share; a restart stops once its largest
+message change falls below the tolerance.  Every sum is taken as a
+one-restart-at-a-time solve takes it, so the report is bit-identical.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
 
 from . import model
-from .common import SolverConfig, SolveReport, TraceRecord, restart_rng
+from .common import SolverConfig, SolveReport, restart_rng, run_restarts
 from .model import PairwiseMRF
 from .packed import PackedGraph, SlotScatter
 
 LOG_ZERO = -1e9
+RESTART_NOISE = 0.01  # scale of the uniform noise on restart r > 0's initial messages
 DEFAULT_LOOPY_DAMPING = 0.5
 
 
@@ -124,18 +124,13 @@ class _MpGraph:
         return d.max(axis=1).max(axis=1, initial=0.0)
 
 
-def solve_mp(
-    mrf: PairwiseMRF,
-    config: Optional[SolverConfig] = None,
-    damping: Optional[float] = None,
-    restart_noise: float = 0.01,
-) -> SolveReport:
+def solve_mp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None,
+             damping: Optional[float] = None) -> SolveReport:
     """Run max-product with restarts (noisy message initializations).
 
     `config.objective_tolerance` doubles as the max-message-change
     convergence threshold.  Damping defaults to 0 on forests and 0.5 on
-    loopy graphs.  `restarts_final_objective` holds each restart's best
-    decoded objective on the original model.
+    loopy graphs.
     """
     config = config or SolverConfig(max_outer_iterations=1000)
     prepared, shift = model.prepare_model(mrf)
@@ -144,59 +139,27 @@ def solve_mp(
     if damping is None:
         damping = 0.0 if _is_forest(mrf) else DEFAULT_LOOPY_DAMPING
 
-    t0 = time.perf_counter()
+    def step(state, live, diag):
+        M, B, best_a, best_val = state
+        new = mp.iterate(M, B, damping)
+        change = mp.max_change(new, M)
+        B = mp.incoming(new)
+        a = graph.decode(B.transpose(0, 2, 1))
+        vals = graph.assignment_value(a) - shift
+        better = vals > best_val
+        best_a, best_val = np.where(better[:, None], a, best_a), np.maximum(vals, best_val)
+        return (new, B, best_a, best_val), best_a, (vals, vals), change
+
+    def finish(final, w, finals):
+        logb = np.where(graph.valid, final[1][w].T, -np.inf)
+        b = np.exp(logb - logb.max(axis=1, keepdims=True))
+        b /= b.sum(axis=1, keepdims=True)
+        return graph.unpack_beliefs(np.where(graph.valid, b, 0.0)), finals
+
     R = config.restarts
     directed = np.zeros((R, graph.kmax, 2 * mp.m))
     for r in range(1, R):
-        directed[r] = restart_noise * restart_rng(config, r).random((2 * mp.m, graph.kmax)).T
+        directed[r] = RESTART_NOISE * restart_rng(config, r).random((2 * mp.m, graph.kmax)).T
     M = mp.stack(directed)
-    B = mp.incoming(M)
-    final_B = np.empty_like(B)
-    best_a = graph.decode(B.transpose(0, 2, 1))
-    best_val = np.full(R, -np.inf)
-    iterations = np.full(R, config.max_outer_iterations)
-    converged = np.zeros(R, dtype=bool)
-    history = []  # per iteration, every restart's decoded value (NaN once stopped)
-    live = np.arange(R)
-    for it in range(1, config.max_outer_iterations + 1):
-        new = mp.iterate(M, B, damping)
-        change = mp.max_change(new, M)
-        M = new
-        B = mp.incoming(M)
-        a = graph.decode(B.transpose(0, 2, 1))
-        vals = graph.assignment_value(a) - shift
-        row = np.full(R, np.nan)
-        row[live] = vals
-        history.append(row)
-        better = vals > best_val[live]
-        best_val[live[better]] = vals[better]
-        best_a[live[better]] = a[better]
-        done = change < config.objective_tolerance
-        if done.any():
-            stopped = live[done]
-            iterations[stopped] = it
-            converged[stopped] = True
-            final_B[stopped] = B[done]
-            live, M, B = live[~done], M[~done], B[~done]
-            if not len(live):
-                break
-    final_B[live] = B
-
-    finals = [model.evaluate_assignment(mrf, a) for a in best_a]
-    w = int(np.argmax(finals))  # the first of tied restarts wins
-    values = np.array(history)[: iterations[w], w].tolist()
-    logb = np.where(graph.valid, final_B[w].T, -np.inf)
-    b = np.exp(logb - logb.max(axis=1, keepdims=True))
-    b /= b.sum(axis=1, keepdims=True)
-    return SolveReport(
-        assignment=best_a[w].copy(),
-        integral_objective=finals[w],
-        trace=[TraceRecord(i, v, v) for i, v in enumerate(values, 1)],
-        beliefs=graph.unpack_beliefs(np.where(graph.valid, b, 0.0)),
-        iterations=int(iterations[w]),
-        converged=bool(converged[w]),
-        restart_index=w,
-        restarts_converged=converged.tolist(),
-        restarts_final_objective=finals,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    start = (M, mp.incoming(M), np.zeros((R, graph.n), dtype=np.intp), np.full(R, -np.inf))
+    return run_restarts(mrf, config, start, step, finish)

@@ -11,7 +11,6 @@ across threads for evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -124,14 +123,6 @@ class PairwiseMRF:
     @property
     def num_nodes(self) -> int:
         return len(self.cardinalities)
-
-    @cached_property
-    def adjacency(self) -> Tuple[Tuple[int, ...], ...]:
-        nbrs: List[List[int]] = [[] for _ in range(self.num_nodes)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(tuple(sorted(x)) for x in nbrs)
 
 
 def check_assignment(mrf: PairwiseMRF, a: Sequence[int]) -> np.ndarray:

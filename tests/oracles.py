@@ -208,12 +208,21 @@ def theta(mrf: PairwiseMRF, i: int, j: int) -> np.ndarray:
     return mrf.tables[mrf.edges.index((j, i))].T
 
 
+def adjacency(mrf: PairwiseMRF) -> Tuple[Tuple[int, ...], ...]:
+    """Sorted neighbours of every node."""
+    nbrs: List[List[int]] = [[] for _ in range(mrf.num_nodes)]
+    for i, j in mrf.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return tuple(tuple(sorted(x)) for x in nbrs)
+
+
 def em_multiplicative_update(mrf: PairwiseMRF, beliefs: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Direct per-edge-loop coding of the multiplicative belief update."""
     out = []
-    for i in range(mrf.num_nodes):
+    for i, nbrs in enumerate(adjacency(mrf)):
         weight = np.zeros(mrf.cardinalities[i])
-        for j in mrf.adjacency[i]:
+        for j in nbrs:
             t = theta(mrf, i, j)
             for xi in range(mrf.cardinalities[i]):
                 weight[xi] += float(np.dot(t[xi, :], beliefs[j]))
@@ -265,7 +274,6 @@ def mp_restarts_reference(
     mrf: PairwiseMRF,
     config: SolverConfig,
     damping: Optional[float] = None,
-    restart_noise: float = 0.01,
 ) -> SolveReport:
     """Max-product run one restart at a time: the reference for `solve_mp`."""
     prepared, shift = model.prepare_model(mrf)
@@ -279,7 +287,7 @@ def mp_restarts_reference(
     for r in range(config.restarts):
         M = np.zeros((2 * len(graph.src), graph.kmax))
         if r > 0:
-            M += restart_noise * restart_rng(config, r).random(M.shape)
+            M += maxproduct.RESTART_NOISE * restart_rng(config, r).random(M.shape)
         trace: List[TraceRecord] = []
         converged = False
         iterations = 0

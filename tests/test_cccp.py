@@ -9,7 +9,9 @@ from qpmap.common import SolverConfig, init_beliefs, restart_rng
 from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from qpmap.model import DegenerateNodeError, PairwiseMRF, prepare_model
 from qpmap.packed import PackedGraph, clamped_simplex_sweep
-from oracles import brute_force_map, inner_loop, outer_iteration, pack_beliefs, pg_node_subproblem, tail_step, theta
+from oracles import (
+    adjacency, brute_force_map, inner_loop, outer_iteration, pack_beliefs, pg_node_subproblem, tail_step, theta,
+)
 
 TWO_NODE_TABLE = np.array([[2.0, 0.0], [0.0, 1.0]])
 
@@ -200,9 +202,9 @@ class TestOuterIteration:
         beliefs = [rng.dirichlet(np.ones(k)) for k in cards]
         P = pack_beliefs(g, beliefs)
         swept = outer_iteration(g, P)
-        for i in range(m.num_nodes):
+        for i, nbrs in enumerate(adjacency(m)):
             delta_sum = np.zeros(cards[i])
-            for j in m.adjacency[i]:
+            for j in nbrs:
                 delta_sum += beliefs[j] @ theta(m, j, i)
             theta_hat = g.theta_hat[i, : cards[i]]
             ref = inner_loop(beliefs[i] * theta_hat + delta_sum, theta_hat).beliefs

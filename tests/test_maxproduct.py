@@ -237,6 +237,16 @@ class TestBatchedRestarts:
         m = gen_random_mrf(24, 3, 0.3, seed=2)
         self.assert_same_report(m, SolverConfig(restarts=3, max_outer_iterations=150, seed=6))
 
+    def test_budget_stopped_beside_converged(self):
+        config = SolverConfig(restarts=4, seed=11, max_outer_iterations=112)
+        rep = self.assert_same_report(gen_random_mrf(12, 3, 0.4, seed=0), config)
+        assert rep.restarts_converged == [True, True, True, False]
+
+    def test_no_diagnostics(self):
+        # max-product has no inner loop to report on, even when asked
+        config = SolverConfig(restarts=2, max_outer_iterations=50, collect_diagnostics=True)
+        assert maxproduct.solve_mp(gen_random_mrf(8, 3, 0.5, seed=1), config).diagnostics is None
+
     def test_edgeless(self):
         m = PairwiseMRF((2, 3, 1), (), ())
         rep = self.assert_same_report(m, SolverConfig(restarts=3, max_outer_iterations=20))

@@ -16,6 +16,7 @@ from qpmap.model import (
 )
 from qpmap.packed import PackedGraph
 from oracles import (
+    adjacency,
     brute_force_map,
     convex_relaxation_objective,
     indicator_beliefs,
@@ -274,7 +275,7 @@ def test_prepare_model_is_exact_on_mixed_models(seed):
         assert (t is orig) == (r is orig)
     assert not prepared.unaries
     u = [unaries.get(i, np.zeros(k)) / len(nbrs)
-         for i, (k, nbrs) in enumerate(zip(m.cardinalities, m.adjacency))]
+         for i, (k, nbrs) in enumerate(zip(m.cardinalities, adjacency(m)))]
     for (i, j), t, orig in zip(m.edges, prepared.tables, m.tables):
         absorbed = orig + u[i][:, None] + u[j][None, :]
         assert t.min() >= 0.0
