@@ -46,6 +46,10 @@ class BenchPlan:
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ValueError(f"unknown solver {s!r}")
+        for what, entries in (("size", self.sizes), ("beta", self.betas), ("solver", self.solvers)):
+            repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeated:
+                raise ValueError(f"{what} {repeated[0]!r} is repeated in the plan")
 
 
 @dataclass

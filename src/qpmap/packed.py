@@ -3,7 +3,8 @@
 All node quantities live in (n, kmax) matrices (an (R, n, kmax) stack for
 R restarts), zero-padded when label counts differ, with a boolean validity
 mask.  Edge tables are stacked once in canonical orientation; the reverse
-orientation is obtained by transposed einsums, so no table is duplicated.
+orientation is obtained by transposed einsums.  Binary graphs (kmax <= 2)
+also keep a label-major copy of the tables, built on first use.
 """
 
 from __future__ import annotations
@@ -134,19 +135,34 @@ class PackedGraph:
         order = np.arange(2 * len(self.src))
         return SlotScatter(np.concatenate([self.tgt, self.src]), order, self.n, self.kmax)
 
+    @cached_property
+    def tables_label_major(self) -> np.ndarray:
+        """The tables as a C-contiguous (kmax, kmax, |E|) array, edge axis last."""
+        return np.ascontiguousarray(self.tables.transpose(1, 2, 0))
+
     def delta_sums(self, P: np.ndarray) -> np.ndarray:
         """Per-node sum of incoming messages sum_{x_j} theta_ij(x_i,x_j) p_j(x_j),
         of an (n, kmax) matrix or of each in an (R, n, kmax) stack."""
         m = len(self.src)
         stack = P.reshape((-1,) + P.shape[-2:])
-        # one 2-D einsum per restart (a batched one is slow), one node-major scatter
-        msgs = np.empty((2 * m, len(stack), self.kmax))
-        at_src, at_tgt = np.take(stack, self.src, axis=1), np.take(stack, self.tgt, axis=1)
-        for r in range(len(stack)):
-            msgs[:m, r] = np.einsum("ek,ekl->el", at_src[r], self.tables)
-            msgs[m:, r] = np.einsum("el,ekl->ek", at_tgt[r], self.tables)
-        S = self.scatter.sum(msgs, axis=0)
-        return np.ascontiguousarray(S.transpose(1, 0, 2)).reshape(P.shape)
+        if self.kmax <= 2:
+            # all restarts at once, edge axis innermost: two-term sums round the
+            # same in any order, so this is bit-identical; for k >= 3 the
+            # edge-last tgt->src sum is neither bit-identical nor faster (k = 64)
+            T, lm = self.tables_label_major, stack.transpose(0, 2, 1)
+            msgs = np.empty((len(stack), self.kmax, 2 * m))
+            np.einsum("rke,kle->rle", np.take(lm, self.src, axis=-1), T, out=msgs[..., :m])
+            np.einsum("rle,kle->rke", np.take(lm, self.tgt, axis=-1), T, out=msgs[..., m:])
+            S = self.scatter.sum(msgs, axis=-1).transpose(0, 2, 1)
+        else:
+            # one 2-D einsum per restart, one node-major scatter
+            msgs = np.empty((2 * m, len(stack), self.kmax))
+            at_src, at_tgt = np.take(stack, self.src, axis=1), np.take(stack, self.tgt, axis=1)
+            for r in range(len(stack)):
+                msgs[:m, r] = np.einsum("ek,ekl->el", at_src[r], self.tables)
+                msgs[m:, r] = np.einsum("el,ekl->ek", at_tgt[r], self.tables)
+            S = self.scatter.sum(msgs, axis=0).transpose(1, 0, 2)
+        return np.ascontiguousarray(S).reshape(P.shape)
 
     def qp_objective(self, P: np.ndarray, S: Optional[np.ndarray] = None) -> float | np.ndarray:
         """Bilinear objective, half of sum(P * S) with S = `delta_sums(P)`

@@ -201,7 +201,8 @@ class TestBench:
 
     @pytest.mark.parametrize("flag,value", [("--solvers", "cccp,foo"), ("--sizes", "3by3"),
                                             ("--sizes", "0x3"), ("--instances", "0"),
-                                            ("--betas", "x")])
+                                            ("--betas", "x"), ("--solvers", "cccp,maxprod,cccp"),
+                                            ("--betas", "1.0,1.0"), ("--sizes", "2x2,2x2")])
     def test_bad_input_is_input_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         rc = cli.main(["bench", "--sizes", "3x3", "--betas", "1.0", "--instances", "1",

@@ -87,8 +87,13 @@ class TestBatchedRestarts:
     "m",
     [star(40, 2, 0), star(40, 3, 1), gen_ising_grid(IsingSpec(10, 10, 1.0, seed=0)),
      gen_ising_grid(IsingSpec(3, 7, 2.0, seed=1)), gen_random_mrf(30, 4, 0.2, seed=1),
-     mixed_cardinality_mrf(np.random.default_rng(2)), PairwiseMRF((2, 3), (), ())],
-    ids=["star-k2", "star-k3", "grid", "thin-grid", "random", "mixed", "edgeless"],
+     mixed_cardinality_mrf(np.random.default_rng(2)), PairwiseMRF((2, 3), (), ()),
+     PairwiseMRF((1, 1, 1), ((0, 1), (1, 2)), (np.array([[0.5]]), np.array([[-1.5]]))),
+     PairwiseMRF((1, 2, 2), ((0, 1), (1, 2), (0, 2)),
+                 (np.array([[0.5, -1.0]]), np.array([[0.3, 1.7], [-0.2, 0.9]]), np.array([[2.0, 0.1]]))),
+     PairwiseMRF((2, 2), (), ()), gen_random_mrf(30, 2, 0.3, seed=4)],
+    ids=["star-k2", "star-k3", "grid", "thin-grid", "random", "mixed", "edgeless",
+         "chain-k1", "binary-with-k1", "edgeless-k2", "random-k2"],
 )
 def test_delta_sums_equal_add_at(m):
     # bit-equal to two np.add.at scatters, one restart at a time, whether a
@@ -99,6 +104,16 @@ def test_delta_sums_equal_add_at(m):
     assert np.array_equal(g.delta_sums(P), ref)
     assert np.array_equal(g.delta_sums(P[2]), ref[2])
     assert g.delta_sums(P).flags.c_contiguous
+
+
+@pytest.mark.parametrize("k, calls", [(2, 2), (3, 10)])
+def test_binary_delta_sums_contract_all_restarts_at_once(monkeypatch, k, calls):
+    # one einsum per direction on binary graphs, two per restart otherwise
+    g = PackedGraph(gen_random_mrf(10, k, 0.5, seed=1))
+    seen, einsum = [], np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **kw: seen.append(a[0]) or einsum(*a, **kw))
+    g.delta_sums(np.ones((5, g.n, g.kmax)))
+    assert len(seen) == calls
 
 
 def test_assignment_value_rows_equal_1d_sums():
