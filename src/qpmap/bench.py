@@ -7,6 +7,7 @@ solving only, not generation.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
@@ -41,8 +42,8 @@ class BenchPlan:
     def __post_init__(self):
         if self.instances < 1 or self.restarts < 1 or not self.sizes or not self.betas:
             raise ValueError("all plan counts must be >= 1")
-        if any(r < 1 or c < 1 for r, c in self.sizes):
-            raise ValueError("grid sizes must be at least 1x1")
+        for (rows, cols), beta in itertools.product(self.sizes, self.betas):
+            IsingSpec(rows, cols, beta)  # raises on a size below 1x1 or a bad beta
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ValueError(f"unknown solver {s!r}")

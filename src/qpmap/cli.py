@@ -62,7 +62,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:  # a UaiParseError, or a table --log-transform cannot take
+    except ValueError as exc:  # a UaiParseError, a ModelError, or a table --log-transform cannot take
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -13,6 +13,7 @@ from .model import PairwiseMRF
 from .packed import Diagnostics, PackedGraph
 
 INIT_MODES = ("uniform", "uniform-perturbed", "random-dirichlet")
+PERTURBATION = 0.01  # scale of the "uniform-perturbed" init's multiplicative noise
 
 
 @dataclass
@@ -23,7 +24,6 @@ class SolverConfig:
     objective_tolerance: float = 1e-8
     restarts: int = 10
     init: str = "uniform-perturbed"
-    perturbation: float = 0.01
     seed: int = 0
     collect_diagnostics: bool = False
 
@@ -34,8 +34,6 @@ class SolverConfig:
             raise ValueError("objective_tolerance must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.perturbation < 0:
-            raise ValueError("perturbation must be >= 0")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}")
 
@@ -85,7 +83,7 @@ def init_beliefs(graph: PackedGraph, config: SolverConfig, rng: np.random.Genera
     """Initial belief matrix for one restart, zero on padded slots."""
     P = np.where(graph.valid, 1.0, 0.0)
     if config.init == "uniform-perturbed":
-        P *= 1.0 + config.perturbation * rng.random(P.shape)
+        P *= 1.0 + PERTURBATION * rng.random(P.shape)
     elif config.init == "random-dirichlet":
         # gamma(1) normalized per row is a flat Dirichlet draw
         P *= rng.gamma(1.0, size=P.shape)

@@ -27,8 +27,10 @@ class IsingSpec:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be >= 1")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
+        if not 0 < self.beta < np.inf:
+            raise ValueError("beta must be finite and > 0")
+        if not np.isfinite(self.node_potential_bound):
+            raise ValueError("node_potential_bound must be finite")
 
 
 def gen_ising_grid(spec: IsingSpec) -> PairwiseMRF:
@@ -75,6 +77,8 @@ def gen_random_mrf(
         raise ValueError("need n >= 2 and k >= 2")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
+    if not np.isfinite(potential_scale):
+        raise ValueError("potential_scale must be finite")
     rng = np.random.default_rng(seed)
     edges: List[Tuple[int, int]] = []
     tree = set()

@@ -67,28 +67,23 @@ class _MpGraph:
 
     A message array has shape (R, kmax, 2|E|) for R restarts.  Column e holds
     the message src->tgt along edge e, and column |E| + e the message tgt->src.
+    It holds one array of log tables, log_tables[k, l, e] = log theta_e(k, l),
+    built in place; the backward messages read it through a transposed view.
     """
 
     def __init__(self, graph: PackedGraph):
         self.graph = graph
         m = self.m = len(graph.src)
-        with np.errstate(divide="ignore"):
-            L = np.where(graph.tables > 0.0, np.log(np.maximum(graph.tables, 1e-320)), LOG_ZERO)
-        # fwd_tables[k, l, e] = bwd_tables[l, k, e] = log theta_e(k, l); at most
-        # two copies of the tables are alive at once, as in an unbatched sweep
-        self.fwd_tables = np.ascontiguousarray(L.transpose(1, 2, 0))
-        del L
-        self.bwd_tables = np.ascontiguousarray(self.fwd_tables.transpose(1, 0, 2))
+        T = self.log_tables = np.empty((graph.kmax, graph.kmax, m))
+        np.maximum(graph.tables.transpose(1, 2, 0), 1e-320, out=T)
+        np.log(T, out=T)
+        T[graph.tables.transpose(1, 2, 0) <= 0.0] = LOG_ZERO
         dir_tgt = np.concatenate([graph.tgt, graph.src])
         self.tgt_valid = np.ascontiguousarray(graph.valid[dir_tgt].T)
         self.ragged = not self.tgt_valid.all()
         # summed in the order np.add.at adds directed edges 2e: src->tgt, 2e+1: tgt->src
         interleaved = np.concatenate([2 * np.arange(m), 2 * np.arange(m) + 1])
         self.scatter = SlotScatter(dir_tgt, interleaved, graph.n, graph.kmax)
-
-    def stack(self, directed: np.ndarray) -> np.ndarray:
-        """Message array from (R, kmax, 2|E|) columns ordered 2e: src->tgt, 2e+1: tgt->src."""
-        return np.concatenate([directed[..., 0::2], directed[..., 1::2]], axis=-1)
 
     def incoming(self, M: np.ndarray) -> np.ndarray:
         """Per-node sums of incoming messages, shape (R, kmax, n)."""
@@ -97,8 +92,8 @@ class _MpGraph:
     def iterate(self, M: np.ndarray, B: np.ndarray, damping: float) -> np.ndarray:
         """One damped synchronous sweep of every restart; B is incoming(M)."""
         m, g = self.m, self.graph
-        fwd = _max_plus(self.fwd_tables, np.take(B, g.src, axis=-1) - M[..., m:])
-        bwd = _max_plus(self.bwd_tables, np.take(B, g.tgt, axis=-1) - M[..., :m])
+        fwd = _max_plus(self.log_tables, np.take(B, g.src, axis=-1) - M[..., m:])
+        bwd = _max_plus(self.log_tables.transpose(1, 0, 2), np.take(B, g.tgt, axis=-1) - M[..., :m])
         new = np.empty_like(M)
         np.multiply(fwd, 1.0 - damping, out=new[..., :m])
         np.multiply(bwd, 1.0 - damping, out=new[..., m:])
@@ -128,6 +123,10 @@ def solve_mp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None,
              damping: Optional[float] = None) -> SolveReport:
     """Run max-product with restarts (noisy message initializations).
 
+    It maximises sum_ij log theta'_ij of the prepared (shifted, unary-absorbed)
+    tables theta', where an entry that is 0 after the shift is a forbidden
+    pair; every decode is scored on the additive objective (whether to run
+    max-sum on that objective instead is open, ROADMAP item 3).
     `config.objective_tolerance` doubles as the max-message-change
     convergence threshold.  Damping defaults to 0 on forests and 0.5 on
     loopy graphs.
@@ -157,9 +156,10 @@ def solve_mp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None,
         return graph.unpack_beliefs(np.where(graph.valid, b, 0.0)), finals
 
     R = config.restarts
-    directed = np.zeros((R, graph.kmax, 2 * mp.m))
+    # restart r's noise is drawn (|E|, 2, kmax): edge e's src->tgt, then tgt->src message
+    M = np.zeros((R, graph.kmax, 2 * mp.m))
     for r in range(1, R):
-        directed[r] = RESTART_NOISE * restart_rng(config, r).random((2 * mp.m, graph.kmax)).T
-    M = mp.stack(directed)
+        noise = restart_rng(config, r).random((mp.m, 2, graph.kmax))
+        M[r] = RESTART_NOISE * noise.transpose(2, 1, 0).reshape(graph.kmax, 2 * mp.m)
     start = (M, mp.incoming(M), np.zeros((R, graph.n), dtype=np.intp), np.full(R, -np.inf))
     return run_restarts(mrf, config, start, step, finish)

@@ -11,7 +11,7 @@ across threads for evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,16 +40,17 @@ class DegenerateNodeError(ModelError):
         super().__init__(f"node {node}: {message}")
 
 
-def _first_nonfinite(arrays: List[np.ndarray]) -> Optional[int]:
-    """Index of the first array with a nan or inf entry, or None (one `isfinite` per 2**16 entries)."""
+def _check_finite(arrays: List[np.ndarray], name: Callable[[int], str]) -> None:
+    """Raise ModelError naming (`name(index)`) the first array with a nan or inf
+    entry; one `isfinite` per 2**16 entries."""
     start = size = 0
     for end, a in enumerate(arrays, start=1):
         size += a.size
         if size >= 1 << 16 or end == len(arrays):
             if not np.isfinite(np.concatenate([x.ravel() for x in arrays[start:end]])).all():
-                return next(e for e in range(start, end) if not np.isfinite(arrays[e]).all())
+                bad = next(e for e in range(start, end) if not np.isfinite(arrays[e]).all())
+                raise ModelError(f"{name(bad)} has non-finite entries")
             start, size = end, 0
-    return None
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,7 @@ class PairwiseMRF:
             t.flags.writeable = False
             canon_edges.append((i, j))
             canon_tables.append(t)
-        bad = _first_nonfinite(canon_tables)
-        if bad is not None:
-            raise ModelError("edge ({},{}) table has non-finite entries".format(*canon_edges[bad]))
+        _check_finite(canon_tables, lambda e: "edge ({},{}) table".format(*canon_edges[e]))
         object.__setattr__(self, "edges", tuple(canon_edges))
         object.__setattr__(self, "tables", tuple(canon_tables))
         object.__setattr__(self, "cardinalities", tuple(int(k) for k in self.cardinalities))
@@ -115,9 +114,7 @@ class PairwiseMRF:
                 u = u.copy()
                 u.flags.writeable = False
                 clean[i] = u
-            bad = _first_nonfinite(list(clean.values()))
-            if bad is not None:
-                raise ModelError(f"unary on node {list(clean)[bad]} has non-finite entries")
+            _check_finite(list(clean.values()), lambda e: f"unary on node {list(clean)[e]}")
             object.__setattr__(self, "unaries", clean)
 
     @property
@@ -147,10 +144,10 @@ def evaluate_assignment(mrf: PairwiseMRF, a: Sequence[int]) -> float:
     return float(total)
 
 
-def _trusted(cardinalities, edges, tables) -> PairwiseMRF:
-    """A unary-free model from valid, canonical parts, not validated again."""
+def _trusted(cardinalities, edges, tables, unaries=None) -> PairwiseMRF:
+    """A model from valid, canonical, read-only parts, not validated again."""
     mrf = object.__new__(PairwiseMRF)
-    mrf.__dict__.update(cardinalities=cardinalities, edges=edges, tables=tables, unaries=None)
+    mrf.__dict__.update(cardinalities=cardinalities, edges=edges, tables=tables, unaries=unaries)
     return mrf
 
 

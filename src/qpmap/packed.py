@@ -102,10 +102,14 @@ class PackedGraph:
             self.tables[e, : t.shape[0], : t.shape[1]] = t
 
         # theta_hat(x_i) = sum over neighbors j, labels x_j of theta_ij(x_i, x_j)
-        th = np.zeros((n, kmax))
-        np.add.at(th, self.src, self.tables.sum(axis=2))
-        np.add.at(th, self.tgt, self.tables.sum(axis=1))
-        self.theta_hat = th
+        self.theta_hat = self._node_sums(self.tables)
+
+    def _node_sums(self, X: np.ndarray) -> np.ndarray:
+        """Per node, its (|E|, kmax, kmax) edge arrays' row sums as src plus column sums as tgt."""
+        S = np.zeros((self.n, self.kmax))
+        np.add.at(S, self.src, X.sum(axis=2))
+        np.add.at(S, self.tgt, X.sum(axis=1))
+        return S
 
     # -- model views ----------------------------------------------------
 
@@ -181,12 +185,8 @@ class PackedGraph:
 
     def diagonal_terms(self) -> np.ndarray:
         """Per-node d_i(x_i) = sum over neighbors, labels of |theta|/2."""
-        d = np.zeros((self.n, self.kmax))
-        if len(self.src):
-            at = np.abs(self.tables)
-            np.add.at(d, self.src, at.sum(axis=2) / 2.0)
-            np.add.at(d, self.tgt, at.sum(axis=1) / 2.0)
-        return d
+        # halving the sum rounds as halving each term does: it is exact
+        return self._node_sums(np.abs(self.tables)) / 2.0
 
 
 def row_sums(X: np.ndarray) -> float | np.ndarray:

@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from . import model
 from .model import PairwiseMRF
 
 
@@ -128,18 +129,26 @@ def parse_uai(text: str) -> PairwiseMRF:
     plus_zero = vals + 0.0
     unaries: Dict[int, np.ndarray] = {}
     edge_tables: Dict[Tuple[int, int], np.ndarray] = {}
-    for scope, c, size in zip(scopes, counts, sizes):
-        lo = c + 1 - first
-        if len(scope) == 1:
-            (i,) = scope
-            unaries[i] = unaries[i] + vals[lo:lo + size] if i in unaries else plus_zero[lo:lo + size]
-        else:
-            i, j = scope
-            t = vals[lo:lo + size].reshape(cards[i], cards[j])
-            if i > j:
-                i, j, t = j, i, t.T
-            edge_tables[(i, j)] = edge_tables[(i, j)] + t if (i, j) in edge_tables else t
-    return PairwiseMRF(tuple(cards), tuple(edge_tables), tuple(edge_tables.values()), unaries or None)
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below
+        for scope, c, size in zip(scopes, counts, sizes):
+            lo = c + 1 - first
+            if len(scope) == 1:
+                (i,) = scope
+                unaries[i] = unaries[i] + vals[lo:lo + size] if i in unaries else plus_zero[lo:lo + size]
+            else:
+                i, j = scope
+                t = vals[lo:lo + size].reshape(cards[i], cards[j])
+                if i > j:
+                    i, j, t = j, i, t.T
+                edge_tables[(i, j)] = edge_tables[(i, j)] + t if (i, j) in edge_tables else t
+    if len(edge_tables) + len(unaries) < len(scopes):  # only a repeated scope sums entries
+        model._check_finite(list(edge_tables.values()), lambda e: "edge ({},{}) table".format(*list(edge_tables)[e]))
+        model._check_finite(list(unaries.values()), lambda e: f"unary on node {list(unaries)[e]}")
+    # the rest was checked above as PairwiseMRF would check it: only its storage flags are set
+    tables = tuple(np.ascontiguousarray(t) for t in edge_tables.values())
+    for a in tables + tuple(unaries.values()):
+        a.flags.writeable = False
+    return model._trusted(tuple(cards), tuple(edge_tables), tables, unaries or None)
 
 
 def _fmt(x: float) -> str:

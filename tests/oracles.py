@@ -249,6 +249,12 @@ def mp_directed_edges(graph: PackedGraph) -> Tuple[np.ndarray, np.ndarray]:
     return src, tgt
 
 
+def mp_stack(directed: np.ndarray) -> np.ndarray:
+    """`solve_mp`'s (R, kmax, 2|E|) message array (column e: src->tgt, |E| + e:
+    tgt->src) from columns ordered 2e: src->tgt, 2e+1: tgt->src."""
+    return np.concatenate([directed[..., 0::2], directed[..., 1::2]], axis=-1)
+
+
 def mp_incoming(graph: PackedGraph, M: np.ndarray) -> np.ndarray:
     """Per-node sum of a (2|E|, kmax) message matrix, by `np.add.at`."""
     B = np.zeros((graph.n, graph.kmax))
@@ -346,6 +352,17 @@ def delta_sums_add_at(graph: PackedGraph, P: np.ndarray) -> np.ndarray:
         np.add.at(S, graph.tgt, np.einsum("ek,ekl->el", P[graph.src], graph.tables))
         np.add.at(S, graph.src, np.einsum("el,ekl->ek", P[graph.tgt], graph.tables))
     return S
+
+
+def diagonal_terms_per_edge(graph: PackedGraph) -> np.ndarray:
+    """`PackedGraph.diagonal_terms`, each edge adding its halved |theta| row
+    and column sums by `np.add.at`."""
+    d = np.zeros((graph.n, graph.kmax))
+    if len(graph.src):
+        at = np.abs(graph.tables)
+        np.add.at(d, graph.src, at.sum(axis=2) / 2.0)
+        np.add.at(d, graph.tgt, at.sum(axis=1) / 2.0)
+    return d
 
 
 def outer_iteration(graph: PackedGraph, P: np.ndarray, diag=None) -> np.ndarray:

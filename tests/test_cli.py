@@ -54,6 +54,13 @@ class TestSolve:
         assert rc == cli.EXIT_PARSE
         assert "line" in capsys.readouterr().err
 
+    def test_overflowing_repeated_factors(self, tmp_path, capsys):
+        p = tmp_path / "overflow.uai"
+        p.write_text("MARKOV\n2\n2 2\n2\n2 0 1\n2 1 0\n\n4\n1e308 0 0 0\n\n4\n1e308 0 0 0\n")
+        rc = cli.main(["solve", "--input", str(p)])
+        assert rc == cli.EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {p}: edge (0,1) table has non-finite entries\n"
+
     def test_degenerate_model(self, tmp_path, capsys):
         m = PairwiseMRF((2, 2), ((0, 1),), (np.zeros((2, 2)),))
         p = tmp_path / "zero.uai"
@@ -175,7 +182,11 @@ class TestGenerate:
     ["generate", "random", "--nodes", "1", "--labels", "2", "--output", "{tmp}/r.uai"],
     ["generate", "random", "--nodes", "4", "--labels", "2", "--output", "{tmp}/missing/r.uai"],
     ["solve", "--input", "{model}", "--restarts", "1", "--trace", "{tmp}/missing/t.csv"],
-], ids=["ising-rows-0", "random-nodes-1", "unwritable-output", "unwritable-trace"])
+    ["generate", "ising", "--rows", "3", "--cols", "3", "--beta", "nan", "--output", "{tmp}/g.uai"],
+    ["generate", "ising", "--rows", "3", "--cols", "3", "--beta", "inf", "--output", "{tmp}/g.uai"],
+    ["generate", "random", "--nodes", "4", "--labels", "2", "--scale", "nan", "--output", "{tmp}/r.uai"],
+], ids=["ising-rows-0", "random-nodes-1", "unwritable-output", "unwritable-trace",
+        "ising-beta-nan", "ising-beta-inf", "random-scale-nan"])
 def test_bad_parameter_or_path_is_input_error(tmp_path, capsys, argv):
     model = write_minimal(tmp_path)
     rc = cli.main([x.format(tmp=tmp_path, model=model) for x in argv])
@@ -202,7 +213,8 @@ class TestBench:
     @pytest.mark.parametrize("flag,value", [("--solvers", "cccp,foo"), ("--sizes", "3by3"),
                                             ("--sizes", "0x3"), ("--instances", "0"),
                                             ("--betas", "x"), ("--solvers", "cccp,maxprod,cccp"),
-                                            ("--betas", "1.0,1.0"), ("--sizes", "2x2,2x2")])
+                                            ("--betas", "1.0,1.0"), ("--sizes", "2x2,2x2"),
+                                            ("--betas", "nan"), ("--betas", "1.0,inf")])
     def test_bad_input_is_input_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         rc = cli.main(["bench", "--sizes", "3x3", "--betas", "1.0", "--instances", "1",

@@ -10,6 +10,7 @@ from qpmap.model import DegenerateNodeError, PairwiseMRF, evaluate_assignment, p
 from qpmap.packed import PackedGraph, clamped_simplex_sweep
 from oracles import (
     convex_relaxation_objective,
+    diagonal_terms_per_edge,
     indicator_beliefs,
     inner_loop,
     mixed_cardinality_mrf,
@@ -55,6 +56,17 @@ class TestDiagonalTerms:
         g = PackedGraph(m)
         for i, di in enumerate(diagonal_terms(m)):
             assert np.allclose(di, g.theta_hat[i] / 2.0)
+
+    @pytest.mark.parametrize(
+        "m",
+        [mixed_cardinality_mrf(np.random.default_rng(seed)) for seed in range(6)] + [PairwiseMRF((2, 3, 1), (), ())],
+        ids=[f"mixed-{seed}" for seed in range(6)] + ["edgeless"],
+    )
+    def test_equals_per_edge_halves(self, m):
+        # halving each node's sum rounds exactly as halving each edge's term
+        g = PackedGraph(m)
+        assert g.diagonal_terms().shape == (g.n, g.kmax)
+        assert np.array_equal(g.diagonal_terms(), diagonal_terms_per_edge(g))
 
     def test_uses_absolute_values(self):
         t = np.array([[1.0, -3.0], [0.0, 2.0]])

@@ -101,3 +101,21 @@ class TestRandomMrf:
 
     def test_no_unaries(self):
         assert not gen_random_mrf(5, 2, seed=0).unaries
+
+
+@pytest.mark.parametrize("make", [
+    lambda: IsingSpec(0, 3, beta=1.0),
+    lambda: IsingSpec(3, 3, beta=0.0),
+    lambda: IsingSpec(3, 3, beta=float("nan")),
+    lambda: IsingSpec(3, 3, beta=float("inf")),
+    lambda: IsingSpec(3, 3, beta=1.0, node_potential_bound=float("nan")),
+    lambda: IsingSpec(3, 3, beta=1.0, node_potential_bound=float("inf")),
+    lambda: gen_random_mrf(1, 2),
+    lambda: gen_random_mrf(4, 2, density=0.0),
+    lambda: gen_random_mrf(4, 2, potential_scale=float("nan")),
+    lambda: gen_random_mrf(4, 2, potential_scale=float("-inf")),
+], ids=["rows-0", "beta-0", "beta-nan", "beta-inf", "bound-nan", "bound-inf",
+        "nodes-1", "density-0", "scale-nan", "scale-minus-inf"])
+def test_bad_parameters_raise_value_error(make):
+    with pytest.raises(ValueError):
+        make()

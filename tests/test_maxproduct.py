@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qpmap import maxproduct
 from qpmap.common import SolverConfig
 from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
-from qpmap.model import PairwiseMRF, evaluate_assignment
+from qpmap.model import PairwiseMRF, evaluate_assignment, prepare_model
 from qpmap.packed import PackedGraph
-from oracles import brute_force_map, mp_incoming, mp_iterate, mp_restarts_reference
+from oracles import brute_force_map, mp_incoming, mp_iterate, mp_restarts_reference, mp_stack
 
 TWO_NODE_TABLE = np.array([[2.0, 0.0], [0.0, 1.0]])
 
@@ -46,7 +48,7 @@ def sweep(m, messages, damping):
     Returns the (kmax, 2|E|) stacked layout: column e src->tgt, |E| + e tgt->src.
     """
     mp = maxproduct._MpGraph(PackedGraph(m))
-    M = mp.stack(messages.T[None])
+    M = mp_stack(messages.T[None])
     return mp.iterate(M, mp.incoming(M), damping)[0]
 
 
@@ -100,7 +102,7 @@ class TestMpIteration:
         expect = mp_iterate(graph, M0, damping)
         got = sweep(m, M0, damping)
         valid = graph.valid[np.concatenate([graph.tgt, graph.src])].T
-        assert np.array_equal(got[valid], maxproduct._MpGraph(graph).stack(expect.T[None])[0][valid])
+        assert np.array_equal(got[valid], mp_stack(expect.T[None])[0][valid])
 
     @pytest.mark.parametrize(
         "m",
@@ -115,7 +117,7 @@ class TestMpIteration:
         graph = PackedGraph(m)
         mp = maxproduct._MpGraph(graph)
         M0 = np.random.default_rng(6).standard_normal((3, 2 * len(m.edges), graph.kmax))
-        got = mp.incoming(mp.stack(M0.transpose(0, 2, 1)))
+        got = mp.incoming(mp_stack(M0.transpose(0, 2, 1)))
         for r in range(3):
             assert np.array_equal(got[r].T, mp_incoming(graph, M0[r]))
 
@@ -261,7 +263,26 @@ def test_label_loop_max_plus_equals_broadcast(k):
     xe = x.transpose(0, 2, 1)
     fwd = (logt[None] + xe[:, :, :, None]).max(axis=2)  # max over source labels
     bwd = (logt[None] + xe[:, :, None, :]).max(axis=3)  # max over target labels
-    got_fwd = maxproduct._max_plus(np.ascontiguousarray(logt.transpose(1, 2, 0)), x)
+    label_major = np.ascontiguousarray(logt.transpose(1, 2, 0))
+    got_fwd = maxproduct._max_plus(label_major, x)
     got_bwd = maxproduct._max_plus(np.ascontiguousarray(logt.transpose(2, 1, 0)), x)
+    got_bwd_view = maxproduct._max_plus(label_major.transpose(1, 0, 2), x)  # as `_MpGraph` reads it
     assert np.array_equal(got_fwd, fwd.transpose(0, 2, 1))
     assert np.array_equal(got_bwd, bwd.transpose(0, 2, 1))
+    assert np.array_equal(got_bwd_view, bwd.transpose(0, 2, 1))
+
+
+def test_mp_graph_holds_one_log_table():
+    graph = PackedGraph(prepare_model(gen_random_mrf(20, 64, 1.0))[0])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mp = maxproduct._MpGraph(graph)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = graph.tables.nbytes
+    assert peak - base <= 1.25 * size
+    assert retained - base <= 1.1 * size
+    big = [name for name, v in vars(mp).items() if isinstance(v, np.ndarray) and v.nbytes >= size]
+    assert big == ["log_tables"]

@@ -3,10 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpmap import uai
 from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
-from qpmap.model import PairwiseMRF
-from qpmap.uai import UaiParseError, parse_uai, write_uai
+from qpmap.model import ModelError, PairwiseMRF
+from qpmap.uai import UaiParseError, write_uai
 from oracles import parse_uai_reference
+
+
+def parse_uai(text):
+    """`uai.parse_uai`, each result checked against `PairwiseMRF(...)` built from
+    writeable copies of its parts: the reader skips that validation."""
+    m = uai.parse_uai(text)
+    ref = PairwiseMRF(m.cardinalities, m.edges, tuple(t.copy() for t in m.tables),
+                      None if m.unaries is None else {i: u.copy() for i, u in m.unaries.items()})
+    assert [type(k) for k in m.cardinalities] == [type(k) for k in ref.cardinalities]
+    assert_same_model(m, ref)
+    for got, want in zip(m.tables + tuple((m.unaries or {}).values()),
+                         ref.tables + tuple((ref.unaries or {}).values())):
+        assert got.dtype == want.dtype and got.flags.c_contiguous == want.flags.c_contiguous
+        assert got.flags.writeable == want.flags.writeable
+    return m
+
 
 MINIMAL = """MARKOV
 2
@@ -244,3 +261,24 @@ def test_malformed_input_fails_as_reference(text):
     assert type(got.value) is type(ref.value) is UaiParseError
     assert str(got.value) == str(ref.value)
     assert got.value.line == ref.value.line
+
+
+# finite entries whose sum over a repeated scope overflows
+SUM_OVERFLOW = {
+    "pairwise": HEAD + "2\n2 0 1\n2 0 1\n\n6\n1e308 0 0 0 0 0\n\n6\n1e308 0 0 0 0 0\n",
+    "reversed-pairwise": HEAD + "2\n2 0 1\n2 1 0\n\n6\n0 0 0 0 0 -1e308\n\n6\n0 0 0 0 0 -1e308\n",
+    "unary": HEAD + "2\n1 1\n1 1\n\n3\n0 1e308 0\n\n3\n0 1e308 0\n",
+    "later-unary": HEAD + "3\n1 0\n1 1\n1 1\n\n2\n1 2\n\n3\n-1e308 0 0\n\n3\n-1e308 0 0\n",
+    "table-before-unary": HEAD + "4\n1 0\n1 0\n2 1 0\n2 0 1\n\n2\n1e308 0\n\n2\n1e308 0\n"
+                                 "\n6\n0 0 0 0 0 1e308\n\n6\n0 0 0 0 0 1e308\n",
+}
+
+
+@pytest.mark.parametrize("text", SUM_OVERFLOW.values(), ids=SUM_OVERFLOW.keys())
+def test_overflowing_sum_fails_as_reference(text):
+    with np.errstate(over="ignore"), pytest.raises(ModelError) as ref:
+        parse_uai_reference(text)
+    with pytest.raises(ModelError) as got:
+        uai.parse_uai(text)  # not the wrapper, whose PairwiseMRF rebuild would raise too
+    assert type(got.value) is type(ref.value) is ModelError
+    assert str(got.value) == str(ref.value)
