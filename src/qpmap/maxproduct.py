@@ -8,9 +8,10 @@ converge.  With damping 0 the fixed point on trees is the exact
 max-marginal of the table-product objective.
 
 All restarts sweep together as one message array on `run_restarts`, the
-driver the CCCP-family solvers share; a restart stops once its largest
-message change falls below the tolerance.  Every sum is taken as a
-one-restart-at-a-time solve takes it, so the report is bit-identical.
+driver the CCCP-family solvers share; each sweep decodes every node's
+argmax along the label axis of its summed messages, and a restart stops
+once its largest message change falls below the tolerance.  Every sum is
+taken as a one-restart-at-a-time solve takes it: the report is bit-identical.
 """
 
 from __future__ import annotations
@@ -67,8 +68,10 @@ class _MpGraph:
 
     A message array has shape (R, kmax, 2|E|) for R restarts.  Column e holds
     the message src->tgt along edge e, and column |E| + e the message tgt->src.
-    It holds one array of log tables, log_tables[k, l, e] = log theta_e(k, l),
-    built in place; the backward messages read it through a transposed view.
+    A sweep gathers the incoming sums at all 2|E| sources at once, less each
+    message's reverse (the two halves swapped), and max-plus multiplies each
+    half with the one log table, log_tables[k, l, e] = log theta_e(k, l), built
+    in place: the forward half as stored, the backward half transposed.
     """
 
     def __init__(self, graph: PackedGraph):
@@ -91,13 +94,13 @@ class _MpGraph:
 
     def iterate(self, M: np.ndarray, B: np.ndarray, damping: float) -> np.ndarray:
         """One damped synchronous sweep of every restart; B is incoming(M)."""
-        m, g = self.m, self.graph
-        fwd = _max_plus(self.log_tables, np.take(B, g.src, axis=-1) - M[..., m:])
-        bwd = _max_plus(self.log_tables.transpose(1, 0, 2), np.take(B, g.tgt, axis=-1) - M[..., :m])
-        new = np.empty_like(M)
-        np.multiply(fwd, 1.0 - damping, out=new[..., :m])
-        np.multiply(bwd, 1.0 - damping, out=new[..., m:])
-        new += damping * M
+        m = self.m
+        X = np.take(B, self.graph.ends, axis=-1)
+        X -= np.concatenate([M[..., m:], M[..., :m]], axis=-1)  # each message's reverse
+        new = np.concatenate([_max_plus(self.log_tables, X[..., :m]),
+                              _max_plus(self.log_tables.transpose(1, 0, 2), X[..., m:])], axis=-1)
+        new *= 1.0 - damping
+        new += np.multiply(M, damping, out=X)  # X is spent: its buffer takes damping * M
         new -= self._label_max(new)[:, None, :]
         return new
 
@@ -116,7 +119,7 @@ class _MpGraph:
         d = np.abs(new - M)
         if self.ragged:
             d = np.where(self.tgt_valid, d, 0.0)
-        return d.max(axis=1).max(axis=1, initial=0.0)
+        return d.max(axis=(1, 2), initial=0.0)
 
 
 def solve_mp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None,
@@ -143,7 +146,7 @@ def solve_mp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None,
         new = mp.iterate(M, B, damping)
         change = mp.max_change(new, M)
         B = mp.incoming(new)
-        a = graph.decode(B.transpose(0, 2, 1))
+        a = graph.decode(B, axis=1)
         vals = graph.assignment_value(a) - shift
         better = vals > best_val
         best_a, best_val = np.where(better[:, None], a, best_a), np.maximum(vals, best_val)

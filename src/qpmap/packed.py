@@ -93,10 +93,12 @@ class PackedGraph:
         for i, k in enumerate(mrf.cardinalities):
             self.valid[i, :k] = True
         self.card = np.asarray(mrf.cardinalities, dtype=int)
+        self.padded = not self.valid.all()
 
         m = len(mrf.edges)
-        self.src = np.fromiter((i for i, _ in mrf.edges), dtype=int, count=m)
-        self.tgt = np.fromiter((j for _, j in mrf.edges), dtype=int, count=m)
+        # every edge's src, then every edge's tgt: the sources of the 2|E| directed edges
+        self.ends = np.fromiter((e[s] for s in (0, 1) for e in mrf.edges), dtype=int, count=2 * m)
+        self.src, self.tgt = self.ends[:m], self.ends[m:]
         self.tables = np.zeros((m, kmax, kmax))
         for e, t in enumerate(mrf.tables):
             self.tables[e, : t.shape[0], : t.shape[1]] = t
@@ -125,11 +127,13 @@ class PackedGraph:
     def unpack_beliefs(self, P: np.ndarray) -> List[np.ndarray]:
         return [P[i, : self.card[i]].copy() for i in range(self.n)]
 
-    def decode(self, P: np.ndarray) -> np.ndarray:
-        """Per-node argmax of an (n, kmax) matrix, or of each in an (R, n, kmax) stack."""
-        # invalid slots masked below any value, including max-product's log
-        # beliefs, which can all be below -1; argmax takes lowest tied index
-        return np.argmax(np.where(self.valid, P, -np.inf), axis=-1)
+    def decode(self, P: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Per-node argmax of an (n, kmax) matrix or (R, n, kmax) stack, or along axis 1 of an (R, kmax, n) one."""
+        # argmax takes the lowest tied label; padded slots, if any, are masked
+        # below every value, as max-product's log beliefs can all be below -1
+        if self.padded:
+            P = np.where(self.valid if axis in (-1, P.ndim - 1) else self.valid.T, P, -np.inf)
+        return np.argmax(P, axis=axis)
 
     # -- sweeps and objectives ------------------------------------------
 
@@ -178,10 +182,11 @@ class PackedGraph:
     def assignment_value(self, a: np.ndarray) -> float | np.ndarray:
         """Edge-sum objective at an integral assignment, on this model's scale;
         the (R,) values of an (R, n) stack of assignments."""
-        e = np.arange(len(self.src))
-        # fancy indexing gives F-ordered rows, whose sums round differently
-        # from the 1-D sum of each row; C-ordered rows sum as 1-D sums do
-        return np.ascontiguousarray(self.tables[e, a[..., self.src], a[..., self.tgt]]).sum(axis=-1)
+        k = self.kmax
+        # one flat gather through a C-ordered index (np.take, not a[..., src],
+        # which is F-ordered): C-ordered rows sum as the 1-D sum of each row
+        flat = (np.arange(len(self.src)) * k + np.take(a, self.src, axis=-1)) * k + np.take(a, self.tgt, axis=-1)
+        return self.tables.reshape(-1)[flat].sum(axis=-1)
 
     def diagonal_terms(self) -> np.ndarray:
         """Per-node d_i(x_i) = sum over neighbors, labels of |theta|/2."""

@@ -343,6 +343,18 @@ def pack_beliefs(graph: PackedGraph, beliefs: Sequence[np.ndarray]) -> np.ndarra
     return P
 
 
+def assignment_value_per_edge(graph: PackedGraph, a: np.ndarray) -> np.ndarray:
+    """`PackedGraph.assignment_value` of each row of an (R, n) stack: the 1-D
+    sum of the row's edge values, read one edge at a time off the model's tables."""
+    edges = list(zip(graph.mrf.edges, graph.mrf.tables))
+    return np.array([np.array([t[x[i], x[j]] for (i, j), t in edges], dtype=float).sum() for x in a])
+
+
+def decode_per_node(graph: PackedGraph, P: np.ndarray) -> np.ndarray:
+    """`PackedGraph.decode` of an (R, n, kmax) stack: each node's argmax over its own labels."""
+    return np.array([[int(np.argmax(row[:k])) for row, k in zip(Pr, graph.card)] for Pr in P])
+
+
 def delta_sums_add_at(graph: PackedGraph, P: np.ndarray) -> np.ndarray:
     """`PackedGraph.delta_sums` by two `np.add.at` scatters, one restart at a time."""
     if P.ndim == 3:

@@ -14,7 +14,13 @@ from qpmap.common import SolverConfig
 from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from qpmap.model import PairwiseMRF, prepare_model
 from qpmap.packed import PackedGraph
-from oracles import delta_sums_add_at, mixed_cardinality_mrf, restarts_reference
+from oracles import (
+    assignment_value_per_edge,
+    decode_per_node,
+    delta_sums_add_at,
+    mixed_cardinality_mrf,
+    restarts_reference,
+)
 
 SOLVERS = {"cccp": cccp.solve, "convex": convex.solve_convex, "gpem": gpem.solve_gp}
 
@@ -126,3 +132,36 @@ def test_assignment_value_rows_equal_1d_sums():
         a = rng.integers(0, g.card, size=(int(rng.integers(1, 12)), g.n))
         rows = g.assignment_value(a)
         assert rows.tolist() == [g.assignment_value(x) for x in a]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("name", ["ising-20x20", "random-k4", "mixed-cardinality"])
+def test_assignment_value_equals_per_edge_oracle(name, order):
+    # bit-for-bit in either memory order of the stack: a flat gather through
+    # the F-ordered a[..., src] would sum each row in another order
+    m = {"ising-20x20": MODELS["ising-20x20"], "random-k4": lambda: gen_random_mrf(60, 4, 0.3, seed=11),
+         "mixed-cardinality": lambda: mixed_cardinality_mrf(np.random.default_rng(12), n_max=40)}[name]()
+    g = PackedGraph(m)
+    assert g.padded == (name == "mixed-cardinality")
+    a = np.asarray(np.random.default_rng(13).integers(0, g.card, size=(7, g.n)), order=order)
+    assert a.flags[f"{order}_CONTIGUOUS"] and len(m.edges) > 100
+    ref = assignment_value_per_edge(g, a)
+    assert g.assignment_value(a).tolist() == ref.tolist()
+    assert [g.assignment_value(x) for x in a] == ref.tolist()
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_decode_equals_masked_argmax(padded):
+    # log beliefs all below -1 with many ties, padded slots above every valid
+    # value: ties go to the lowest label and no padded slot is chosen, for
+    # node-major stacks, one matrix, and label-major stacks decoded on axis 1
+    rng = np.random.default_rng(14)
+    g = PackedGraph(mixed_cardinality_mrf(rng, n_max=12) if padded else MODELS["random-k4"]())
+    assert g.padded == padded
+    P = np.where(g.valid, -2.0 - rng.integers(0, 3, size=(6, g.n, g.kmax)), 5.0)
+    ref = decode_per_node(g, P)
+    assert np.array_equal(g.decode(P), ref)
+    assert np.array_equal(g.decode(P[2]), ref[2])
+    assert np.array_equal(g.decode(np.ascontiguousarray(P.transpose(0, 2, 1)), axis=1), ref)
+    assert np.array_equal(g.decode(P.transpose(0, 2, 1), axis=1), ref)
+    assert (ref < g.card).all() and (ref == 0).any() and (ref > 0).any()
