@@ -157,7 +157,7 @@ def run_restarts(original: PairwiseMRF, config: SolverConfig, state: Tuple[np.nd
                 f[out] = x[stop]
             final_a[out], iterations[out], converged[out] = a[stop], it, done[stop]
             live, state = live[keep], tuple(x[keep] for x in state)
-    finals = [model.evaluate_assignment(original, x) for x in final_a]
+    finals = model.evaluate_assignment(original, final_a).tolist()
     w = int(np.argmax(finals))
     beliefs, final_objective = finish(final, w, finals)
     return SolveReport(

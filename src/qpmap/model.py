@@ -11,7 +11,8 @@ across threads for evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import chain, compress
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,9 +73,7 @@ class PairwiseMRF:
         n = len(self.cardinalities)
         if any(k < 1 for k in self.cardinalities):
             raise ModelError("cardinalities must be >= 1")
-        canon_edges: List[Tuple[int, int]] = []
-        canon_tables: List[np.ndarray] = []
-        seen = set()
+        canon_edges, canon_tables, seen = [], [], set()
         if len(self.edges) != len(self.tables):
             raise ModelError("edges and tables must align")
         for (i, j), t in zip(self.edges, self.tables):
@@ -91,18 +90,15 @@ class PairwiseMRF:
                 raise ModelError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
             if t.shape != (self.cardinalities[i], self.cardinalities[j]):
-                raise ModelError(
-                    f"edge ({i},{j}) table shape {t.shape} != "
-                    f"({self.cardinalities[i]},{self.cardinalities[j]})"
-                )
+                raise ModelError(f"edge ({i},{j}) table shape {t.shape} != "
+                                 f"({self.cardinalities[i]},{self.cardinalities[j]})")
             t = np.ascontiguousarray(t)
             t.flags.writeable = False
             canon_edges.append((i, j))
             canon_tables.append(t)
         _check_finite(canon_tables, lambda e: "edge ({},{}) table".format(*canon_edges[e]))
-        object.__setattr__(self, "edges", tuple(canon_edges))
-        object.__setattr__(self, "tables", tuple(canon_tables))
-        object.__setattr__(self, "cardinalities", tuple(int(k) for k in self.cardinalities))
+        self.__dict__.update(edges=tuple(canon_edges), tables=tuple(canon_tables),
+                             cardinalities=tuple(int(k) for k in self.cardinalities))
         if self.unaries is not None:
             clean: Dict[int, np.ndarray] = {}
             for i, u in self.unaries.items():
@@ -123,25 +119,45 @@ class PairwiseMRF:
 
 
 def check_assignment(mrf: PairwiseMRF, a: Sequence[int]) -> np.ndarray:
-    a = np.asarray(a, dtype=int)
-    if a.shape != (mrf.num_nodes,):
-        raise InvalidAssignmentError(f"assignment length {a.shape} != ({mrf.num_nodes},)")
-    for i, (label, k) in enumerate(zip(a, mrf.cardinalities)):
-        if not 0 <= label < k:
-            raise InvalidAssignmentError(f"node {i}: label {label} outside [0,{k})")
-    return a
+    """`a` as an integer array: one in-range label per node, or an (R, n) stack of such rows."""
+    a, cards = np.asarray(a), np.asarray(mrf.cardinalities, dtype=int)
+    if a.ndim not in (1, 2) or a.shape[-1] != len(cards):
+        raise InvalidAssignmentError(f"assignment length {a.shape} != ({len(cards)},)")
+    if a.dtype.kind not in "iu" and a.size:  # floats, bools and strings are not labels
+        raise InvalidAssignmentError(f"labels must be integers, got dtype {a.dtype}")
+    if (bad := np.flatnonzero((a < 0) | (a >= cards))).size:
+        i = bad[0] % len(cards)
+        raise InvalidAssignmentError(f"node {i}: label {a.flat[bad[0]]} outside [0,{cards[i]})")
+    return a.astype(int, copy=False)
 
 
-def evaluate_assignment(mrf: PairwiseMRF, a: Sequence[int]) -> float:
-    """Sum of edge potentials (plus unaries, if still present) at assignment `a`."""
+def evaluate_assignment(mrf: PairwiseMRF, a: Sequence[int]) -> float | np.ndarray:
+    """Sum of edge potentials (plus unaries, if still present) at assignment `a`,
+    from 0.0 in edge order, then in unary order; the (R,) sums of an (R, n) stack."""
     a = check_assignment(mrf, a)
-    total = 0.0
-    for (i, j), t in zip(mrf.edges, mrf.tables):
-        total += t[a[i], a[j]]
-    if mrf.unaries:
-        for i, u in mrf.unaries.items():
-            total += u[a[i]]
-    return float(total)
+    x, unaries = a if a.ndim == 2 else a[None], mrf.unaries or {}
+    terms = [np.zeros((len(x), 1))]
+    for arrays, ends in ((mrf.tables, edge_ends(mrf).reshape(2, -1)),
+                         (tuple(unaries.values()), [np.fromiter(unaries, int, len(unaries))])):
+        labels = (x[:, e].ravel().tolist() for e in ends)  # one item of each array per row
+        items = np.fromiter(map(np.ndarray.item, arrays * len(x), *labels), float, len(x) * len(arrays))
+        terms.append(items.reshape(len(x), len(arrays)))
+    total = np.cumsum(np.concatenate(terms, axis=1), axis=1)[:, -1]
+    return float(total[0]) if a.ndim == 1 else total
+
+
+def edge_ends(mrf: PairwiseMRF) -> np.ndarray:
+    """The sources of the 2|E| directed edges: every edge's src, then every edge's tgt."""
+    pairs = np.fromiter(chain.from_iterable(mrf.edges), dtype=int, count=2 * len(mrf.edges))
+    return pairs.reshape(-1, 2).T.ravel()
+
+
+def shape_groups(mrf: PairwiseMRF, src: np.ndarray, tgt: np.ndarray) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """(k_i, k_j, positions in `src` of the k_i x k_j tables), one per table shape."""
+    cards = np.asarray(mrf.cardinalities, dtype=int)
+    shape = cards[src] * (cards.max(initial=0) + 1) + cards[tgt]
+    for code in np.unique(shape).tolist():
+        yield (*divmod(code, cards.max() + 1), np.flatnonzero(shape == code))
 
 
 def _trusted(cardinalities, edges, tables, unaries=None) -> PairwiseMRF:
@@ -156,37 +172,38 @@ def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
 
     Each unary u_i is split evenly over node i's incident tables (u_i/deg(i)
     added to the rows of each, u_j/deg(j) to the columns), then each table
-    is shifted so its minimum entry is 0, one stack of (k_i, k_j) tables at
-    a time; a table that needs neither step is reused.  Returns the prepared
-    model and the total shift: for every assignment, the original objective
-    equals the prepared one minus the shift.
+    is shifted so its minimum entry is 0.  Both steps work on one stack per
+    table shape; a table that needs neither step is reused, not copied.
+    Returns the prepared model and the total shift: for every assignment,
+    the original objective equals the prepared one minus the shift.
     """
-    if not mrf.num_nodes:
+    if not (n := mrf.num_nodes):
         raise UnsupportedModelError("model has no variables")
-    src, tgt = np.asarray(mrf.edges, dtype=int).reshape(-1, 2).T
-    deg = np.bincount(np.concatenate([src, tgt]), minlength=mrf.num_nodes)
-    cards = np.asarray(mrf.cardinalities)
-    has, share = np.zeros(mrf.num_nodes, dtype=bool), np.zeros((mrf.num_nodes, cards.max()))
-    for i, u in (mrf.unaries or {}).items():
-        if deg[i] == 0:
-            raise UnsupportedModelError(f"unary on isolated node {i} cannot be absorbed")
-        has[i], share[i, :len(u)] = True, u
-    share[has] /= deg[has, None]  # row i: u_i / deg(i), zero-padded
+    ends, cards, unaries = edge_ends(mrf), np.asarray(mrf.cardinalities, dtype=int), mrf.unaries or {}
+    (src, tgt), deg, nodes = ends.reshape(2, -1), np.bincount(ends, minlength=n), np.fromiter(unaries, int)
+    if (isolated := nodes[deg[nodes] == 0]).size:
+        raise UnsupportedModelError(f"unary on isolated node {isolated[0]} cannot be absorbed")
+    has, share = np.zeros(n, dtype=bool), np.zeros((n, cards.max()))
+    has[nodes] = True  # row i of share: u_i / deg(i), zero-padded
+    share[has[:, None] & (np.arange(cards.max()) < cards[:, None])] = np.concatenate(
+        [np.zeros(0), *(unaries[i] for i in sorted(unaries))])
+    share /= np.maximum(deg, 1)[:, None]
     touched = has[src] | has[tgt]
-    # each table's minimum once unaries are added; an untouched table is not copied to find it
-    lo = np.array([0.0 if tch else t.min() for tch, t in zip(touched.tolist(), mrf.tables)])
-    rewrite, shape = touched | (lo < 0.0), cards[src] * (cards.max() + 1) + cards[tgt]
-    tables = list(mrf.tables)
-    for code in np.unique(shape[rewrite]):
-        idx = np.flatnonzero(rewrite & (shape == code))
-        rows, cols = src[idx], tgt[idx]
-        group = np.array([tables[e] for e in idx])
-        np.add(group, share[rows, :group.shape[1], None], out=group, where=has[rows, None, None])
-        np.add(group, share[cols, None, :group.shape[2]], out=group, where=has[cols, None, None])
+    # an untouched table's minimum is read in place: only tables that change are stacked
+    lo, untouched = np.zeros(len(src)), ~touched
+    lo[untouched] = np.fromiter(map(np.ndarray.min, compress(mrf.tables, untouched.tolist())), float)
+    rewrite = np.flatnonzero(touched | (lo < 0.0))
+    pool, pick = list(mrf.tables), np.arange(len(src))  # the tables: pool[pick[e]] for edge e
+    for ki, kj, sub in shape_groups(mrf, src[rewrite], tgt[rewrite]):
+        idx = rewrite[sub]
+        group, rows, cols = np.array([mrf.tables[e] for e in idx.tolist()]), src[idx], tgt[idx]
+        np.add(group, share[rows, :ki, None], out=group, where=has[rows, None, None])
+        np.add(group, share[cols, None, :kj], out=group, where=has[cols, None, None])
         lo[idx] = low = group.min(axis=(1, 2))
         np.subtract(group, low[:, None, None], out=group, where=(low < 0.0)[:, None, None])
         group.flags.writeable = False
-        for e, t in zip(idx, group):
-            tables[e] = t
+        pick[idx] = len(pool) + np.arange(len(idx))
+        pool.extend(group)
+    tables = tuple(map(pool.__getitem__, pick.tolist()))
     shift_total = float(np.cumsum(np.append(0.0, -lo[lo < 0.0]))[-1])  # summed in edge order
-    return _trusted(mrf.cardinalities, mrf.edges, tuple(tables)), shift_total
+    return _trusted(mrf.cardinalities, mrf.edges, tables), shift_total

@@ -2,9 +2,9 @@
 
 All node quantities live in (n, kmax) matrices (an (R, n, kmax) stack for
 R restarts), zero-padded when label counts differ, with a boolean validity
-mask.  Edge tables are stacked once in canonical orientation; the reverse
-orientation is obtained by transposed einsums.  Binary graphs (kmax <= 2)
-also keep a label-major copy of the tables, built on first use.
+mask.  Edge tables are stacked once in canonical orientation, one shape at
+a time; the reverse orientation is obtained by transposed einsums.  Binary
+graphs (kmax <= 2) also keep a label-major copy of the tables, built on first use.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from . import model
 from .model import DegenerateNodeError, PairwiseMRF
 
 log = logging.getLogger(__name__)
@@ -87,21 +88,22 @@ class PackedGraph:
         self.mrf = mrf
         n = mrf.num_nodes
         kmax = max(mrf.cardinalities) if n else 0
-        self.n = n
-        self.kmax = kmax
-        self.valid = np.zeros((n, kmax), dtype=bool)
-        for i, k in enumerate(mrf.cardinalities):
-            self.valid[i, :k] = True
+        self.n, self.kmax = n, kmax
         self.card = np.asarray(mrf.cardinalities, dtype=int)
+        self.valid = np.arange(kmax) < self.card[:, None]
         self.padded = not self.valid.all()
 
         m = len(mrf.edges)
-        # every edge's src, then every edge's tgt: the sources of the 2|E| directed edges
-        self.ends = np.fromiter((e[s] for s in (0, 1) for e in mrf.edges), dtype=int, count=2 * m)
-        self.src, self.tgt = self.ends[:m], self.ends[m:]
+        self.ends = model.edge_ends(mrf)
+        self.src, self.tgt = self.ends.reshape(2, m)
+        # one assignment per table shape; a single shape with unpadded rows is
+        # concatenated in place, with no table-sized temporary
         self.tables = np.zeros((m, kmax, kmax))
-        for e, t in enumerate(mrf.tables):
-            self.tables[e, : t.shape[0], : t.shape[1]] = t
+        for ki, kj, idx in model.shape_groups(mrf, self.src, self.tgt):
+            if len(idx) == m and ki == kmax:
+                np.concatenate(mrf.tables, out=self.tables.reshape(m * kmax, kmax)[:, :kj])
+            else:
+                self.tables[idx, :ki, :kj] = [mrf.tables[e] for e in idx.tolist()]
 
         # theta_hat(x_i) = sum over neighbors j, labels x_j of theta_ij(x_i, x_j)
         self.theta_hat = self._node_sums(self.tables)

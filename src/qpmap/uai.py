@@ -4,16 +4,19 @@ Tables are read as additive potentials in the linear domain (not the
 probability convention); callers ingesting genuinely probabilistic files
 can log-transform after parsing.  `#` starts a comment on read; the writer
 never emits one.  The writer is canonical: byte-identical output for equal
-models.  The reader makes one pass over the tokens and converts all table
-entries at once; line numbers are counted only for an error, which is the
-first fault in file order.
+models.  The reader converts each section's tokens in one pass (the
+cardinalities, the scope variables, the entry counts, all table entries)
+and gathers each table shape's tables from the entries at once; line
+numbers and messages are made only for an error, which is the first fault
+in file order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from contextlib import suppress
 from itertools import accumulate
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -33,15 +36,42 @@ def _line_of(text: str, index: int) -> int:
     return bisect_right(ends, min(index, ends[-1] - 1)) + 1 if ends and ends[-1] else 1
 
 
-def _leading_floats(tokens: List[str]) -> List[float]:
-    """The tokens as floats, up to the first one that is not a float."""
-    out: List[float] = []
-    for tok in tokens:
-        try:
-            out.append(float(tok))
-        except ValueError:
-            break
-    return out
+def _numbers(dtype: type, tokens: List[str]) -> np.ndarray:
+    """The tokens as `float`s or `np.int64`s, up to the first one that is not
+    such a number; an int beyond int64 makes it an array of Python ints."""
+    try:
+        return np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError):  # one at a time, up to the fault
+        out: list = []
+        with suppress(ValueError):
+            for tok in tokens:
+                out.append((float if dtype is float else int)(tok))
+        return np.array(out, dtype=dtype if dtype is float or max(map(abs, out), default=0) < 2**63 else object)
+
+
+def _sum_scopes(vals: np.ndarray, key: np.ndarray, at: np.ndarray, rows: np.ndarray | int, cols: np.ndarray,
+                flip: np.ndarray, unary: bool) -> Tuple[np.ndarray, tuple]:
+    """The distinct `key`s in order of first appearance, and each one's table:
+    the sum, in file order, of its factors' (rows, cols) entries read
+    row-major from `vals` at `at` (column-major where `flip`).  Unary
+    tables (`rows` 1) are 1-D."""
+    uniq, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    shape = rows * (cols.max(initial=0) + 1) + cols
+    pool, pick = [], np.empty(len(uniq), dtype=int)  # the tables: pool[pick[t]] for key uniq[t]
+    for code in np.unique(shape).tolist():  # one gather per table shape
+        fs = np.flatnonzero(shape == code)
+        (r, c), lead = divmod(code, cols.max() + 1), first[inv[fs]] == fs  # lead: a key's first factor
+        grid = np.where(flip[fs, None, None], np.arange(r * c).reshape(c, r).T, np.arange(r * c).reshape(r, c))
+        block = vals[at[fs, None, None] + grid]
+        stack = block if lead.all() else block[lead]
+        if unary:  # a unary sum starts from 0 + entries
+            stack += 0.0
+        pick[inv[fs[lead]]] = len(pool) + np.arange(len(stack))
+        np.add.at(stack, pick[inv[fs[~lead]]] - len(pool), block[~lead])  # in file order
+        stack.flags.writeable = False
+        pool.extend(stack.reshape(len(stack), -1) if unary else stack)
+    order = np.argsort(first)
+    return uniq[order], tuple(map(pool.__getitem__, pick[order].tolist()))
 
 
 def parse_uai(text: str) -> PairwiseMRF:
@@ -57,13 +87,15 @@ def parse_uai(text: str) -> PairwiseMRF:
     def error(i: int, message: str) -> UaiParseError:
         return UaiParseError(_line_of(text, i), message)
 
+    def expected(i: int, what: str) -> UaiParseError:
+        return error(i, f"expected {what}, got {toks[i]!r}" if i < ntok else
+                     f"unexpected end of input, expected {what}")
+
     def int_at(i: int, what: str) -> int:
-        if i >= ntok:
-            raise error(i, f"unexpected end of input, expected {what}")
         try:
             return int(toks[i])
-        except ValueError:
-            raise error(i, f"expected {what}, got {toks[i]!r}") from None
+        except (IndexError, ValueError):
+            raise expected(i, what) from None
 
     if not ntok or toks[0].upper() != "MARKOV":
         raise error(0, f"expected MARKOV header, got {toks[0]!r}" if ntok else
@@ -71,108 +103,83 @@ def parse_uai(text: str) -> PairwiseMRF:
     n = int_at(1, "variable count")
     if n < 0:
         raise error(1, "negative variable count")
-    cards = []
-    for v in range(n):
-        cards.append(int_at(2 + v, f"cardinality of variable {v}"))
-        if cards[v] < 1:
-            raise error(2 + v, f"variable {v} has cardinality {cards[v]}")
-    nf, pos = int_at(2 + n, "factor count"), 3 + n
-    scopes: List[Tuple[int, ...]] = []
-    for f in range(nf):
-        arity = int_at(pos, f"arity of factor {f}")
-        if arity not in (1, 2):
-            raise error(pos, f"factor {f} has unsupported arity {arity}; only unary and pairwise supported")
-        scope = []
-        for p in range(pos + 1, pos + 1 + arity):
-            scope.append(int_at(p, f"scope variable of factor {f}"))
-            if not 0 <= scope[-1] < n:
-                raise error(p, f"factor {f} references variable {scope[-1]}, out of range")
-        if arity == 2 and scope[0] == scope[1]:
-            raise error(pos + 2, f"factor {f} repeats variable {scope[0]} in its scope")
-        scopes.append(tuple(scope))
-        pos += 1 + arity
+    cards = _numbers(np.int64, toks[2:2 + n])
+    if (low := np.flatnonzero(cards < 1)).size:
+        raise error(2 + low[0], f"variable {low[0]} has cardinality {cards[low[0]]}")
+    if len(cards) < n:
+        raise expected(2 + len(cards), f"cardinality of variable {len(cards)}")
+    nf, first = int_at(2 + n, "factor count"), 3 + n
+
+    # each arity fixes where the next scope starts; the walk stops at one that is not 1 or 2
+    pos, ends, width = first, [first], {"1": 2, "2": 3}  # a scope's tokens, by arity as spelt
+    with suppress(IndexError, ValueError):
+        for _ in range(nf):
+            if (step := width.get(toks[pos]) or 1 + int(toks[pos])) not in (2, 3):
+                break
+            pos += step
+            ends.append(pos)
+    starts, arities = np.array(ends[:-1], dtype=int) - first, np.diff(ends) - 1
+    scope = _numbers(np.int64, toks[first:pos])  # every arity is an int: a fault is a variable's
+    bad = ((scope < 0) | (scope >= n)) & ~np.isin(np.arange(len(scope)), starts)  # a variable out of range
+    second = starts[(arities == 2) & (starts + 2 < len(scope))] + 2
+    q = min([*np.flatnonzero(bad)[:1], *second[scope[second - 1] == scope[second]][:1], len(scope)])
+    if q < pos - first:  # the first fault of a scope variable, in file order
+        f = bisect_right(ends, first + q) - 1
+        raise (expected(first + q, f"scope variable of factor {f}") if q == len(scope) else
+               error(first + q, f"factor {f} references variable {scope[q]}, out of range" if bad[q] else
+                     f"factor {f} repeats variable {scope[q]} in its scope"))
+    if len(ends) <= nf:
+        f, arity = len(ends) - 1, int_at(pos, f"arity of factor {len(ends) - 1}")
+        raise error(pos, f"factor {f} has unsupported arity {arity}; only unary and pairwise supported")
 
     # The scopes fix where each count sits, as long as the counts before it
     # match.  A fault found is `pending` until no earlier entry is at fault.
-    sizes = [cards[s[0]] * cards[s[1]] if len(s) == 2 else cards[s[0]] for s in scopes]
-    first, counts, pending = pos, [], None
-    for f, size in enumerate(sizes):
-        try:
-            if (count := int_at(pos, f"entry count of factor {f}")) != size:
-                raise error(pos, f"factor {f} declares {count} entries, scope implies {size}")
-        except UaiParseError as exc:
-            pending = exc
-            break
-        counts.append(pos)
-        pos += 1 + size
-    span = toks[first:min(pos, ntok)]
-    try:
-        vals = np.array(list(map(float, span)))
-    except ValueError:
-        vals = np.array(_leading_floats(span))
-    stop = first + len(vals)  # entries from here on are missing or not floats
+    u, w = scope[starts + 1].astype(np.int64), scope[starts + arities].astype(np.int64)  # w is u if unary
+    # Python ints if a product could overflow, so that the implied entry counts are exact
+    card = cards.astype(object) if cards.size and cards.max() >= 2**31 else cards
+    sizes = card[u] * np.where(arities == 2, card[w], 1)
+    count_pos = pos + np.cumsum(1 + sizes) - 1 - sizes
+    got = _numbers(np.int64, list(map(toks.__getitem__, count_pos[count_pos < ntok].tolist())))
+    g = min([*np.flatnonzero(got != sizes[:len(got)])[:1], len(got)])  # the first factor whose count is at fault
+    entries, pos = pos, count_pos[g] if g < nf else pos + int(np.sum(1 + sizes))
+    pending = None if g >= nf else (expected(pos, f"entry count of factor {g}") if g == len(got) else
+                                    error(pos, f"factor {g} declares {got[g]} entries, scope implies {sizes[g]}"))
+    vals = _numbers(float, toks[entries:min(pos, ntok)])
+    stop = entries + len(vals)  # entries from here on are missing or not floats
     if stop < pos:
-        g = bisect_right(counts, stop) - 1
-        what = f"entry {stop - counts[g] - 1} of factor {g}"
-        pending = error(stop, f"expected {what}, got {toks[stop]!r}" if stop < ntok else
-                        f"unexpected end of input, expected {what}")
+        h = bisect_right(count_pos[:g], stop) - 1  # the factors before g have their counts right
+        pending = expected(stop, f"entry {stop - count_pos[h] - 1} of factor {h}")
     if (nonfinite := np.flatnonzero(~np.isfinite(vals))).size:
-        g = bisect_right(counts, first + nonfinite[0]) - 1
-        if counts[g] + sizes[g] < stop:
-            raise error(counts[g] + sizes[g], f"factor {g} has non-finite entries")
+        h = bisect_right(count_pos[:g], entries + nonfinite[0]) - 1
+        if count_pos[h] + sizes[h] < stop:
+            raise error(count_pos[h] + sizes[h], f"factor {h} has non-finite entries")
     if pending is not None:
         raise pending
     if pos < ntok:
         raise error(pos, f"trailing content {toks[pos]!r}")
 
-    # each factor's entries follow its count; a unary sum starts from 0 + entries
-    plus_zero = vals + 0.0
-    unaries: Dict[int, np.ndarray] = {}
-    edge_tables: Dict[Tuple[int, int], np.ndarray] = {}
+    # one gather per table shape; repeated scopes are summed in file order
+    # a cardinality in a scope is below ntok now; one beyond int64 is in none
+    card, at = np.minimum(card, ntok).astype(np.int64), (count_pos + 1 - entries).astype(np.int64)
+    one, two = np.flatnonzero(arities == 1), np.flatnonzero(arities == 2)
+    lo, hi = np.minimum(u[two], w[two]), np.maximum(u[two], w[two])
     with np.errstate(over="ignore"):  # an overflowing sum is reported below
-        for scope, c, size in zip(scopes, counts, sizes):
-            lo = c + 1 - first
-            if len(scope) == 1:
-                (i,) = scope
-                unaries[i] = unaries[i] + vals[lo:lo + size] if i in unaries else plus_zero[lo:lo + size]
-            else:
-                i, j = scope
-                t = vals[lo:lo + size].reshape(cards[i], cards[j])
-                if i > j:
-                    i, j, t = j, i, t.T
-                edge_tables[(i, j)] = edge_tables[(i, j)] + t if (i, j) in edge_tables else t
-    if len(edge_tables) + len(unaries) < len(scopes):  # only a repeated scope sums entries
-        model._check_finite(list(edge_tables.values()), lambda e: "edge ({},{}) table".format(*list(edge_tables)[e]))
-        model._check_finite(list(unaries.values()), lambda e: f"unary on node {list(unaries)[e]}")
-    # the rest was checked above as PairwiseMRF would check it: only its storage flags are set
-    tables = tuple(np.ascontiguousarray(t) for t in edge_tables.values())
-    for a in tables + tuple(unaries.values()):
-        a.flags.writeable = False
-    return model._trusted(tuple(cards), tuple(edge_tables), tables, unaries or None)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+        nodes, unaries = _sum_scopes(vals, u[one], at[one], 1, card[u[one]], np.zeros(len(one), dtype=bool), True)
+        pairs, tables = _sum_scopes(vals, lo * n + hi, at[two], card[lo], card[hi], u[two] > w[two], False)
+    edges = tuple(zip((pairs // max(n, 1)).tolist(), (pairs % max(n, 1)).tolist()))
+    if len(pairs) + len(nodes) < nf:  # only a repeated scope sums entries
+        model._check_finite(list(tables), lambda e: "edge ({},{}) table".format(*edges[e]))
+        model._check_finite(list(unaries), lambda e: f"unary on node {nodes[e]}")
+    # the rest was checked above as PairwiseMRF would check it; the tables are read-only
+    return model._trusted(tuple(cards.tolist()), edges, tables, dict(zip(nodes.tolist(), unaries)) or None)
 
 
 def write_uai(mrf: PairwiseMRF) -> str:
     """Canonical serialization: unary factors in node order first, then
     pairwise factors in edge-list order; 17-significant-digit floats."""
-    lines = ["MARKOV", str(mrf.num_nodes), " ".join(str(k) for k in mrf.cardinalities)]
     unary_nodes = sorted(mrf.unaries) if mrf.unaries else []
-    lines.append(str(len(unary_nodes) + len(mrf.edges)))
-    for i in unary_nodes:
-        lines.append(f"1 {i}")
-    for i, j in mrf.edges:
-        lines.append(f"2 {i} {j}")
-    for i in unary_nodes:
-        u = mrf.unaries[i]
-        lines.append("")
-        lines.append(str(len(u)))
-        lines.append(" ".join(_fmt(x) for x in u))
-    for t in mrf.tables:
-        lines.append("")
-        lines.append(str(t.size))
-        for row in t:
-            lines.append(" ".join(_fmt(x) for x in row))
+    scopes = [f"1 {i}" for i in unary_nodes] + [f"2 {i} {j}" for i, j in mrf.edges]
+    lines = ["MARKOV", str(mrf.num_nodes), " ".join(map(str, mrf.cardinalities)), str(len(scopes))] + scopes
+    for table in [mrf.unaries[i][None] for i in unary_nodes] + list(mrf.tables):  # a unary is one row
+        lines += ["", str(table.size)] + [" ".join(format(float(x), ".17g") for x in row) for row in table]
     return "\n".join(lines) + "\n"

@@ -1,10 +1,11 @@
 """Independent reference implementations used to check the solvers.
 
 Most of this is deliberately written without the package's packed
-message-passing machinery: brute-force enumeration, naive per-edge loops,
-projected-gradient ascent with sort-based simplex projection, the
-scalar per-node clamped update, per-node belief fixtures, the per-token
-UAI reader and the per-edge solver-ready form.  The
+message-passing machinery: brute-force enumeration, naive per-edge loops
+(scoring an assignment, packing the tables), projected-gradient ascent
+with sort-based simplex projection, the scalar per-node clamped update,
+per-node belief fixtures, the per-token UAI reader and the per-edge
+solver-ready form.  The
 restart references run one restart at a time on a `PackedGraph`, with
 `np.add.at` scatters (and a broadcast max for max-product); the batched
 solvers must match them exactly.
@@ -333,6 +334,38 @@ def mp_restarts_reference(
     best.restarts_converged = restarts_converged
     best.restarts_final_objective = restarts_final
     return best
+
+
+def evaluate_assignment_per_edge(mrf: PairwiseMRF, a: Sequence[int]) -> float:
+    """`model.evaluate_assignment` of one assignment, one edge, then one unary, at a time."""
+    a = check_assignment(mrf, a)
+    total = 0.0
+    for (i, j), t in zip(mrf.edges, mrf.tables):
+        total += t[a[i], a[j]]
+    for i, u in (mrf.unaries or {}).items():
+        total += u[a[i]]
+    return float(total)
+
+
+def pack_tables_per_edge(mrf: PairwiseMRF) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`PackedGraph`'s zero-padded (|E|, kmax, kmax) tables, filled one edge at
+    a time, and its `theta_hat` and `diagonal_terms`: per node, the (|theta|/2)
+    row sums of the tables where it is src, then the column sums where it is
+    tgt, added one edge at a time."""
+    kmax = max(mrf.cardinalities, default=0)
+    T = np.zeros((len(mrf.edges), kmax, kmax))
+    for e, t in enumerate(mrf.tables):
+        T[e, : t.shape[0], : t.shape[1]] = t
+
+    def node_sums(X):
+        S = np.zeros((mrf.num_nodes, kmax))
+        for e, (i, _) in enumerate(mrf.edges):
+            S[i] += X[e].sum(axis=1)
+        for e, (_, j) in enumerate(mrf.edges):
+            S[j] += X[e].sum(axis=0)
+        return S
+
+    return T, node_sums(T), node_sums(np.abs(T)) / 2.0
 
 
 def pack_beliefs(graph: PackedGraph, beliefs: Sequence[np.ndarray]) -> np.ndarray:

@@ -15,13 +15,17 @@ from qpmap.model import (
     prepare_model,
 )
 from qpmap.packed import PackedGraph
+from qpmap.uai import parse_uai, write_uai
 from oracles import (
     adjacency,
     brute_force_map,
     convex_relaxation_objective,
+    evaluate_assignment_per_edge,
     indicator_beliefs,
     mixed_cardinality_mrf,
     pack_beliefs,
+    pack_tables_per_edge,
+    parse_uai_reference,
     prepare_model_reference,
     theta,
     uniform_beliefs,
@@ -70,6 +74,24 @@ class TestEvaluateAssignment:
     def test_includes_unaries(self):
         m = PairwiseMRF((2, 2), ((0, 1),), (np.zeros((2, 2)),), {0: np.array([0.5, -0.5])})
         assert evaluate_assignment(m, (0, 0)) == 0.5
+
+    # labels are not truncated or parsed: [0.9, 1.7] once scored as [0, 1]
+    @pytest.mark.parametrize("labels", [[0.9, 1.7], [0.0, 1.0], np.array([0.0, 1.0]), [True, False], ["1", "0"]],
+                             ids=["float", "integral-float", "float-array", "bool", "str"])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(InvalidAssignmentError, match="labels must be integers"):
+            evaluate_assignment(two_node(), labels)
+
+    def test_integer_dtypes_accepted(self):
+        for a in ([1, 1], (1, 1), np.array([1, 1], dtype=np.uint8), np.array([1, 1], dtype=np.int32)):
+            assert evaluate_assignment(two_node(), a) == 1.0
+
+    def test_stack_values_and_first_bad_label(self):
+        m = chain3_identity()
+        got = evaluate_assignment(m, np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1]]))
+        assert isinstance(got, np.ndarray) and got.tolist() == [2.0, 1.0, 0.0]
+        with pytest.raises(InvalidAssignmentError, match=r"node 2: label 2 outside \[0,2\)"):
+            evaluate_assignment(m, [[0, 0, 0], [0, 1, 2]])
 
 
 class TestQpObjective:
@@ -283,3 +305,65 @@ def test_prepare_model_is_exact_on_mixed_models(seed):
             assert t.min() == 0.0
     for a in itertools.product(*(range(k) for k in m.cardinalities)):
         assert evaluate_assignment(prepared, a) - shift == pytest.approx(evaluate_assignment(m, a), abs=1e-9)
+
+
+def _scoring_models(rng):
+    """Padded mixed-cardinality models with unaries, a -0.0 table entry, and an edgeless model."""
+    base = mixed_cardinality_mrf(rng, n_max=6, k_max=4)
+    tables = tuple(_some_nonnegative(t) if e == 0 or rng.random() < 0.4 else t for e, t in enumerate(base.tables))
+    unaries = {i: rng.normal(size=k) for i, k in enumerate(base.cardinalities) if rng.random() < 0.6}
+    edgeless = PairwiseMRF(base.cardinalities, (), (), unaries)
+    return [PairwiseMRF(base.cardinalities, base.edges, tables, unaries),
+            PairwiseMRF(base.cardinalities, base.edges, tables), edgeless]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_evaluate_assignment_equals_per_edge_oracle(seed):
+    # a gather per table summed from 0.0 in edge order, then unary order: the per-edge loop's bits
+    rng = np.random.default_rng(seed)
+    for m in _scoring_models(rng):
+        A = np.stack([rng.integers(0, k, size=7) for k in m.cardinalities], axis=1)
+        ref = [evaluate_assignment_per_edge(m, a) for a in A]
+        singles = [evaluate_assignment(m, a) for a in A]
+        assert all(type(v) is float for v in singles)
+        assert _bits(singles) == _bits(ref)
+        assert _bits(evaluate_assignment(m, A)) == _bits(ref)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_packed_tables_equal_per_edge_oracle(seed):
+    rng = np.random.default_rng(seed)
+    for m in _scoring_models(rng) + [prepare_model(_scoring_models(rng)[0])[0]]:
+        g = PackedGraph(m)
+        tables, theta_hat, diagonal = pack_tables_per_edge(m)
+        assert g.tables.shape == tables.shape and g.tables.tobytes() == tables.tobytes()
+        assert g.theta_hat.tobytes() == theta_hat.tobytes()
+        assert g.diagonal_terms().tobytes() == diagonal.tobytes()
+
+
+def test_single_shape_packing_equals_per_edge_oracle():
+    # one (2, 3) shape under kmax = 3 has padded rows, so it is not concatenated in place; (3, 3) is
+    for cards in ((2, 3, 2), (3, 3, 3)):
+        m = PairwiseMRF(cards, ((0, 1), (1, 2)), tuple(np.arange(cards[i] * cards[j], dtype=float).reshape(
+            cards[i], cards[j]) for i, j in ((0, 1), (1, 2))))
+        assert PackedGraph(m).tables.tobytes() == pack_tables_per_edge(m)[0].tobytes()
+
+
+def test_ingest_matches_reference_at_benchmark_scale():
+    # the 50x50 grid file of the uai-grid benchmark workload: parse, then prepare
+    text = write_uai(gen_ising_grid(IsingSpec(50, 50, beta=1.0, seed=7)))
+    got, ref = parse_uai(text), parse_uai_reference(text)
+    assert got.cardinalities == ref.cardinalities and got.edges == ref.edges
+    assert all(t.tobytes() == r.tobytes() for t, r in zip(got.tables, ref.tables))
+    assert list(got.unaries) == list(ref.unaries)
+    assert all(got.unaries[i].tobytes() == ref.unaries[i].tobytes() for i in ref.unaries)
+    (prepared, shift), (ref_prepared, ref_shift) = prepare_model(got), prepare_model_reference(ref)
+    assert _bits(shift) == _bits(ref_shift)
+    assert len(prepared.tables) == len(ref_prepared.tables) == 4900
+    assert all(t.tobytes() == r.tobytes() for t, r in zip(prepared.tables, ref_prepared.tables))
