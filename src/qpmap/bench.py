@@ -88,10 +88,17 @@ class BenchResult:
         absolute value keeps a gain positive when `a` beats a baseline
         whose quality is negative."""
         out = []
-        for a, b in itertools.permutations(self.plan.solvers, 2):
-            for (r, c), beta in itertools.product(self.plan.sizes, self.plan.betas):
-                qa, qb = (np.asarray(self.cells[(s, f"{r}x{c}", beta)].qualities) for s in (a, b))
-                out.append((a, b, f"{r}x{c}", beta, float(np.mean((qa - qb) / np.abs(qb)))))
+        solvers = self.plan.solvers
+        for a in solvers:
+            for b in solvers:
+                if a == b:
+                    continue
+                for (r, c) in self.plan.sizes:
+                    size = f"{r}x{c}"
+                    for beta in self.plan.betas:
+                        qa = np.asarray(self.cells[(a, size, beta)].qualities)
+                        qb = np.asarray(self.cells[(b, size, beta)].qualities)
+                        out.append((a, b, size, beta, float(np.mean((qa - qb) / np.abs(qb)))))
         return out
 
     def mean_gain(self, a: str, b: str, size: str) -> float:
@@ -109,7 +116,8 @@ def run_benchmark(plan: BenchPlan) -> BenchResult:
     for si, (rows, cols) in enumerate(plan.sizes):
         size = f"{rows}x{cols}"
         for bi, beta in enumerate(plan.betas):
-            cells.update({(s, size, beta): Cell(s, size, beta) for s in plan.solvers})
+            for s in plan.solvers:
+                cells[(s, size, beta)] = Cell(s, size, beta)
             for t in range(plan.instances):
                 seed = instance_seed(plan, si, bi, t)
                 mrf = gen_ising_grid(IsingSpec(rows, cols, beta, seed=seed))
@@ -128,14 +136,20 @@ def run_benchmark(plan: BenchPlan) -> BenchResult:
 
 def summary_csv(result: BenchResult) -> str:
     lines = ["solver,size,beta,mean_quality,mean_time_s,converged_frac"]
-    for s, (r, c), beta in itertools.product(result.plan.solvers, result.plan.sizes, result.plan.betas):
-        cell = result.cells[(s, f"{r}x{c}", beta)]
-        lines.append(f"{s},{cell.size},{beta:.10g},{cell.mean_quality:.10g},"
-                     f"{cell.mean_time_s:.6g},{cell.converged_frac:.6g}")
+    for s in result.plan.solvers:
+        for (r, c) in result.plan.sizes:
+            size = f"{r}x{c}"
+            for beta in result.plan.betas:
+                cell = result.cells[(s, size, beta)]
+                lines.append(
+                    f"{s},{size},{beta:.10g},{cell.mean_quality:.10g},"
+                    f"{cell.mean_time_s:.6g},{cell.converged_frac:.6g}"
+                )
     return "\n".join(lines) + "\n"
 
 
 def gains_csv(result: BenchResult) -> str:
     lines = ["solver_a,solver_b,size,beta,mean_gain"]
-    lines += [f"{a},{b},{size},{beta:.10g},{gain:.10g}" for a, b, size, beta, gain in result.gains()]
+    for a, b, size, beta, gain in result.gains():
+        lines.append(f"{a},{b},{size},{beta:.10g},{gain:.10g}")
     return "\n".join(lines) + "\n"

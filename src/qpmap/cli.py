@@ -34,16 +34,23 @@ def _log_transform(mrf: PairwiseMRF) -> PairwiseMRF:
         return np.log(a)
 
     tables = tuple(check(t, "table entries") for t in mrf.tables)
-    unaries = {i: check(u, "unary entries") for i, u in mrf.unaries.items()} if mrf.unaries else None
+    unaries = None
+    if mrf.unaries:
+        unaries = {i: check(u, "unary entries") for i, u in mrf.unaries.items()}
     return PairwiseMRF(mrf.cardinalities, mrf.edges, tables, unaries)
 
 
 def _write_trace(path: str, report: SolveReport) -> None:
-    columns = ["qp_objective", "integral_objective"]
-    if any(t.convex_objective is not None for t in report.trace):
-        columns.append("convex_objective")
-    lines = [",".join(["iter"] + columns)]
-    lines += [",".join([str(t.iteration)] + [f"{getattr(t, c):.17g}" for c in columns]) for t in report.trace]
+    has_convex = any(t.convex_objective is not None for t in report.trace)
+    header = "iter,qp_objective,integral_objective"
+    if has_convex:
+        header += ",convex_objective"
+    lines = [header]
+    for t in report.trace:
+        row = f"{t.iteration},{t.qp_objective:.17g},{t.integral_objective:.17g}"
+        if has_convex:
+            row += f",{t.convex_objective:.17g}"
+        lines.append(row)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -9,7 +9,7 @@ node potentials in node order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -52,9 +52,15 @@ def gen_ising_grid(spec: IsingSpec) -> PairwiseMRF:
                 edges.append((node(r, c), node(r, c + 1)))
             if r + 1 < spec.rows:
                 edges.append((node(r, c), node(r + 1, c)))
-    tables = [np.array([[d, -d], [-d, d]]) for d in (rng.uniform(-spec.beta, spec.beta) for _ in edges)]
+    tables = []
+    for _ in edges:
+        d = rng.uniform(-spec.beta, spec.beta)
+        tables.append(np.array([[d, -d], [-d, d]]))
+    unaries: Dict[int, np.ndarray] = {}
     b = spec.node_potential_bound
-    unaries = {i: np.array([u, -u]) for i, u in enumerate(rng.uniform(-b, b) for _ in range(n))}
+    for i in range(n):
+        u = rng.uniform(-b, b)
+        unaries[i] = np.array([u, -u])
     return PairwiseMRF((2,) * n, tuple(edges), tuple(tables), unaries)
 
 

@@ -73,7 +73,9 @@ class PairwiseMRF:
         n = len(self.cardinalities)
         if any(k < 1 for k in self.cardinalities):
             raise ModelError("cardinalities must be >= 1")
-        canon_edges, canon_tables, seen = [], [], set()
+        canon_edges: List[Tuple[int, int]] = []
+        canon_tables: List[np.ndarray] = []
+        seen = set()
         if len(self.edges) != len(self.tables):
             raise ModelError("edges and tables must align")
         for (i, j), t in zip(self.edges, self.tables):
@@ -90,15 +92,18 @@ class PairwiseMRF:
                 raise ModelError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
             if t.shape != (self.cardinalities[i], self.cardinalities[j]):
-                raise ModelError(f"edge ({i},{j}) table shape {t.shape} != "
-                                 f"({self.cardinalities[i]},{self.cardinalities[j]})")
+                raise ModelError(
+                    f"edge ({i},{j}) table shape {t.shape} != "
+                    f"({self.cardinalities[i]},{self.cardinalities[j]})"
+                )
             t = np.ascontiguousarray(t)
             t.flags.writeable = False
             canon_edges.append((i, j))
             canon_tables.append(t)
         _check_finite(canon_tables, lambda e: "edge ({},{}) table".format(*canon_edges[e]))
-        self.__dict__.update(edges=tuple(canon_edges), tables=tuple(canon_tables),
-                             cardinalities=tuple(int(k) for k in self.cardinalities))
+        object.__setattr__(self, "edges", tuple(canon_edges))
+        object.__setattr__(self, "tables", tuple(canon_tables))
+        object.__setattr__(self, "cardinalities", tuple(int(k) for k in self.cardinalities))
         if self.unaries is not None:
             clean: Dict[int, np.ndarray] = {}
             for i, u in self.unaries.items():
@@ -152,12 +157,13 @@ def edge_ends(mrf: PairwiseMRF) -> np.ndarray:
     return pairs.reshape(-1, 2).T.ravel()
 
 
-def shape_groups(mrf: PairwiseMRF, src: np.ndarray, tgt: np.ndarray) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """(k_i, k_j, positions in `src` of the k_i x k_j tables), one per table shape."""
-    cards = np.asarray(mrf.cardinalities, dtype=int)
-    shape = cards[src] * (cards.max(initial=0) + 1) + cards[tgt]
+def shape_groups(rows: np.ndarray, cols: np.ndarray) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """(r, c, the positions e where (rows[e], cols[e]) is (r, c)), one per
+    table shape, in ascending (r, c) order."""
+    base = cols.max(initial=0) + 1
+    shape = rows * base + cols
     for code in np.unique(shape).tolist():
-        yield (*divmod(code, cards.max() + 1), np.flatnonzero(shape == code))
+        yield (*divmod(code, base), np.flatnonzero(shape == code))
 
 
 def _trusted(cardinalities, edges, tables, unaries=None) -> PairwiseMRF:
@@ -179,8 +185,10 @@ def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
     """
     if not (n := mrf.num_nodes):
         raise UnsupportedModelError("model has no variables")
-    ends, cards, unaries = edge_ends(mrf), np.asarray(mrf.cardinalities, dtype=int), mrf.unaries or {}
-    (src, tgt), deg, nodes = ends.reshape(2, -1), np.bincount(ends, minlength=n), np.fromiter(unaries, int)
+    cards, unaries = np.asarray(mrf.cardinalities, dtype=int), mrf.unaries or {}
+    ends = edge_ends(mrf)
+    src, tgt = ends.reshape(2, -1)
+    deg, nodes = np.bincount(ends, minlength=n), np.fromiter(unaries, int)
     if (isolated := nodes[deg[nodes] == 0]).size:
         raise UnsupportedModelError(f"unary on isolated node {isolated[0]} cannot be absorbed")
     has, share = np.zeros(n, dtype=bool), np.zeros((n, cards.max()))
@@ -194,7 +202,7 @@ def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
     lo[untouched] = np.fromiter(map(np.ndarray.min, compress(mrf.tables, untouched.tolist())), float)
     rewrite = np.flatnonzero(touched | (lo < 0.0))
     pool, pick = list(mrf.tables), np.arange(len(src))  # the tables: pool[pick[e]] for edge e
-    for ki, kj, sub in shape_groups(mrf, src[rewrite], tgt[rewrite]):
+    for ki, kj, sub in shape_groups(cards[src[rewrite]], cards[tgt[rewrite]]):
         idx = rewrite[sub]
         group, rows, cols = np.array([mrf.tables[e] for e in idx.tolist()]), src[idx], tgt[idx]
         np.add(group, share[rows, :ki, None], out=group, where=has[rows, None, None])

@@ -88,7 +88,8 @@ class PackedGraph:
         self.mrf = mrf
         n = mrf.num_nodes
         kmax = max(mrf.cardinalities) if n else 0
-        self.n, self.kmax = n, kmax
+        self.n = n
+        self.kmax = kmax
         self.card = np.asarray(mrf.cardinalities, dtype=int)
         self.valid = np.arange(kmax) < self.card[:, None]
         self.padded = not self.valid.all()
@@ -99,7 +100,7 @@ class PackedGraph:
         # one assignment per table shape; a single shape with unpadded rows is
         # concatenated in place, with no table-sized temporary
         self.tables = np.zeros((m, kmax, kmax))
-        for ki, kj, idx in model.shape_groups(mrf, self.src, self.tgt):
+        for ki, kj, idx in model.shape_groups(self.card[self.src], self.card[self.tgt]):
             if len(idx) == m and ki == kmax:
                 np.concatenate(mrf.tables, out=self.tables.reshape(m * kmax, kmax)[:, :kj])
             else:

@@ -49,18 +49,16 @@ def _numbers(dtype: type, tokens: List[str]) -> np.ndarray:
         return np.array(out, dtype=dtype if dtype is float or max(map(abs, out), default=0) < 2**63 else object)
 
 
-def _sum_scopes(vals: np.ndarray, key: np.ndarray, at: np.ndarray, rows: np.ndarray | int, cols: np.ndarray,
+def _sum_scopes(vals: np.ndarray, key: np.ndarray, at: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                 flip: np.ndarray, unary: bool) -> Tuple[np.ndarray, tuple]:
     """The distinct `key`s in order of first appearance, and each one's table:
     the sum, in file order, of its factors' (rows, cols) entries read
-    row-major from `vals` at `at` (column-major where `flip`).  Unary
-    tables (`rows` 1) are 1-D."""
+    row-major from `vals` at `at` (column-major where `flip`).  `unary`
+    tables (`rows` all 1) are 1-D."""
     uniq, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    shape = rows * (cols.max(initial=0) + 1) + cols
     pool, pick = [], np.empty(len(uniq), dtype=int)  # the tables: pool[pick[t]] for key uniq[t]
-    for code in np.unique(shape).tolist():  # one gather per table shape
-        fs = np.flatnonzero(shape == code)
-        (r, c), lead = divmod(code, cols.max() + 1), first[inv[fs]] == fs  # lead: a key's first factor
+    for r, c, fs in model.shape_groups(rows, cols):  # one gather per table shape
+        lead = first[inv[fs]] == fs  # a key's first factor
         grid = np.where(flip[fs, None, None], np.arange(r * c).reshape(c, r).T, np.arange(r * c).reshape(r, c))
         block = vals[at[fs, None, None] + grid]
         stack = block if lead.all() else block[lead]
@@ -122,12 +120,15 @@ def parse_uai(text: str) -> PairwiseMRF:
     scope = _numbers(np.int64, toks[first:pos])  # every arity is an int: a fault is a variable's
     bad = ((scope < 0) | (scope >= n)) & ~np.isin(np.arange(len(scope)), starts)  # a variable out of range
     second = starts[(arities == 2) & (starts + 2 < len(scope))] + 2
-    q = min([*np.flatnonzero(bad)[:1], *second[scope[second - 1] == scope[second]][:1], len(scope)])
+    repeats = second[scope[second - 1] == scope[second]]  # a pair's second variable, equal to its first
+    q = min([*np.flatnonzero(bad)[:1], *repeats[:1], len(scope)])
     if q < pos - first:  # the first fault of a scope variable, in file order
-        f = bisect_right(ends, first + q) - 1
-        raise (expected(first + q, f"scope variable of factor {f}") if q == len(scope) else
-               error(first + q, f"factor {f} references variable {scope[q]}, out of range" if bad[q] else
-                     f"factor {f} repeats variable {scope[q]} in its scope"))
+        f, p = bisect_right(ends, first + q) - 1, first + q
+        if q == len(scope):
+            raise expected(p, f"scope variable of factor {f}")
+        if bad[q]:
+            raise error(p, f"factor {f} references variable {scope[q]}, out of range")
+        raise error(p, f"factor {f} repeats variable {scope[q]} in its scope")
     if len(ends) <= nf:
         f, arity = len(ends) - 1, int_at(pos, f"arity of factor {len(ends) - 1}")
         raise error(pos, f"factor {f} has unsupported arity {arity}; only unary and pairwise supported")
@@ -138,12 +139,18 @@ def parse_uai(text: str) -> PairwiseMRF:
     # Python ints if a product could overflow, so that the implied entry counts are exact
     card = cards.astype(object) if cards.size and cards.max() >= 2**31 else cards
     sizes = card[u] * np.where(arities == 2, card[w], 1)
-    count_pos = pos + np.cumsum(1 + sizes) - 1 - sizes
-    got = _numbers(np.int64, list(map(toks.__getitem__, count_pos[count_pos < ntok].tolist())))
-    g = min([*np.flatnonzero(got != sizes[:len(got)])[:1], len(got)])  # the first factor whose count is at fault
-    entries, pos = pos, count_pos[g] if g < nf else pos + int(np.sum(1 + sizes))
-    pending = None if g >= nf else (expected(pos, f"entry count of factor {g}") if g == len(got) else
-                                    error(pos, f"factor {g} declares {got[g]} entries, scope implies {sizes[g]}"))
+    # A count's place is exact while every factor before it fits in the
+    # tokens; one that does not puts all later counts past the end.
+    step = np.minimum(sizes, ntok).astype(np.int64)
+    count_pos = pos + np.cumsum(1 + step) - 1 - step
+    got = _numbers(np.int64, [toks[c] for c in count_pos[count_pos < ntok].tolist()])
+    mismatch = np.flatnonzero(got != sizes[:len(got)])
+    g = mismatch[0] if mismatch.size else len(got)  # the first factor whose count is at fault
+    entries, pos, pending = pos, pos + int(np.sum(1 + step)), None
+    if g < nf:
+        pos = count_pos[g]
+        pending = (expected(pos, f"entry count of factor {g}") if g == len(got) else
+                   error(pos, f"factor {g} declares {got[g]} entries, scope implies {sizes[g]}"))
     vals = _numbers(float, toks[entries:min(pos, ntok)])
     stop = entries + len(vals)  # entries from here on are missing or not floats
     if stop < pos:
@@ -160,11 +167,11 @@ def parse_uai(text: str) -> PairwiseMRF:
 
     # one gather per table shape; repeated scopes are summed in file order
     # a cardinality in a scope is below ntok now; one beyond int64 is in none
-    card, at = np.minimum(card, ntok).astype(np.int64), (count_pos + 1 - entries).astype(np.int64)
+    card, at = np.minimum(card, ntok).astype(np.int64), count_pos + 1 - entries
     one, two = np.flatnonzero(arities == 1), np.flatnonzero(arities == 2)
     lo, hi = np.minimum(u[two], w[two]), np.maximum(u[two], w[two])
     with np.errstate(over="ignore"):  # an overflowing sum is reported below
-        nodes, unaries = _sum_scopes(vals, u[one], at[one], 1, card[u[one]], np.zeros(len(one), dtype=bool), True)
+        nodes, unaries = _sum_scopes(vals, u[one], at[one], np.ones_like(one), card[u[one]], one < 0, True)
         pairs, tables = _sum_scopes(vals, lo * n + hi, at[two], card[lo], card[hi], u[two] > w[two], False)
     edges = tuple(zip((pairs // max(n, 1)).tolist(), (pairs % max(n, 1)).tolist()))
     if len(pairs) + len(nodes) < nf:  # only a repeated scope sums entries
@@ -174,12 +181,28 @@ def parse_uai(text: str) -> PairwiseMRF:
     return model._trusted(tuple(cards.tolist()), edges, tables, dict(zip(nodes.tolist(), unaries)) or None)
 
 
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
 def write_uai(mrf: PairwiseMRF) -> str:
     """Canonical serialization: unary factors in node order first, then
     pairwise factors in edge-list order; 17-significant-digit floats."""
+    lines = ["MARKOV", str(mrf.num_nodes), " ".join(str(k) for k in mrf.cardinalities)]
     unary_nodes = sorted(mrf.unaries) if mrf.unaries else []
-    scopes = [f"1 {i}" for i in unary_nodes] + [f"2 {i} {j}" for i, j in mrf.edges]
-    lines = ["MARKOV", str(mrf.num_nodes), " ".join(map(str, mrf.cardinalities)), str(len(scopes))] + scopes
-    for table in [mrf.unaries[i][None] for i in unary_nodes] + list(mrf.tables):  # a unary is one row
-        lines += ["", str(table.size)] + [" ".join(format(float(x), ".17g") for x in row) for row in table]
+    lines.append(str(len(unary_nodes) + len(mrf.edges)))
+    for i in unary_nodes:
+        lines.append(f"1 {i}")
+    for i, j in mrf.edges:
+        lines.append(f"2 {i} {j}")
+    for i in unary_nodes:
+        u = mrf.unaries[i]
+        lines.append("")
+        lines.append(str(len(u)))
+        lines.append(" ".join(_fmt(x) for x in u))
+    for t in mrf.tables:
+        lines.append("")
+        lines.append(str(t.size))
+        for row in t:
+            lines.append(" ".join(_fmt(x) for x in row))
     return "\n".join(lines) + "\n"

@@ -249,6 +249,14 @@ MALFORMED = {
     "comment-lines-shift-numbers": "# a\nMARKOV # b\n#\n2\n\n# c\n2 3\n1\n2 0 1\n# d\n#\n\n6\n1 2 3\n# e\n4 nan 6\n",
     "comment-at-end-of-truncation": HEAD + "1\n2 0 1\n\n6\n1 2 3\n# the rest is missing\n\n",
     "crlf-and-form-feed": "MARKOV\r\n2\x0c2 3\r\n1\r\n2 0 1\r\n\r\n6\r\n1 2 3\x0c4 5 six\r\n",
+    # entry counts near 2**62, whose running sum would wrap in int64
+    "huge-counts-missing": "MARKOV\n2\n2147483647 2147483647\n4\n2 0 1\n2 0 1\n2 0 1\n2 0 1\n",
+    "huge-count-mismatch": "MARKOV\n2\n2147483647 2147483647\n4\n2 0 1\n2 0 1\n2 0 1\n2 0 1\n\n7\n",
+    # ints beyond int64, kept exact in messages
+    "cardinality-beyond-int64": "MARKOV\n2\n100000000000000000000 2\n1\n2 0 1\n\n5\n1 2\n",
+    "negative-cardinality-beyond-int64": "MARKOV\n2\n2 -100000000000000000000\n0\n",
+    "count-beyond-int64": "MARKOV\n1\n2\n1\n1 0\n\n99999999999999999999\n1 2\n",
+    "scope-variable-beyond-int64": "MARKOV\n2\n2 2\n1\n2 0 99999999999999999999\n",
 }
 
 
@@ -261,6 +269,29 @@ def test_malformed_input_fails_as_reference(text):
     assert type(got.value) is type(ref.value) is UaiParseError
     assert str(got.value) == str(ref.value)
     assert got.value.line == ref.value.line
+
+
+# A count that matches a huge scope; the reference parser allocates the
+# declared entries, so the expected messages are written out.
+HUGE_DECLARED = {
+    "wrapping-counts": ("MARKOV\n2\n2147483647 2147483647\n4\n2 0 1\n2 0 1\n2 0 1\n2 0 1\n"
+                        "\n4611686014132420609\n1 2 3\n",
+                        "line 11: unexpected end of input, expected entry 3 of factor 0"),
+    "then-a-unary": ("MARKOV\n2\n2147483647 2147483647\n2\n2 0 1\n1 0\n\n4611686014132420609\n1\n",
+                     "line 9: unexpected end of input, expected entry 1 of factor 0"),
+    "cardinality-beyond-int64": ("MARKOV\n2\n100000000000000000000 2\n1\n2 1 0\n"
+                                 "\n200000000000000000000\n1 2\n",
+                                 "line 8: unexpected end of input, expected entry 2 of factor 0"),
+    "cardinality-beyond-int32": ("MARKOV\n1\n3000000000\n1\n1 0\n\n3000000000\n1 2 x\n",
+                                 "line 8: expected entry 2 of factor 0, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("text, message", HUGE_DECLARED.values(), ids=HUGE_DECLARED.keys())
+def test_huge_declared_count_fails_at_missing_entry(text, message):
+    with pytest.raises(UaiParseError) as got:
+        parse_uai(text)
+    assert str(got.value) == message
 
 
 # finite entries whose sum over a repeated scope overflows
