@@ -46,7 +46,8 @@ def _numbers(dtype: type, tokens: List[str]) -> np.ndarray:
         with suppress(ValueError):
             for tok in tokens:
                 out.append((float if dtype is float else int)(tok))
-        return np.array(out, dtype=dtype if dtype is float or max(map(abs, out), default=0) < 2**63 else object)
+        fits = dtype is float or max(map(abs, out), default=0) < 2**63
+        return np.array(out, dtype=dtype if fits else object)
 
 
 def _sum_scopes(vals: np.ndarray, key: np.ndarray, at: np.ndarray, rows: np.ndarray, cols: np.ndarray,
