@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import bench, uai
+from . import bench, model, uai
 from .bench import SOLVERS, BenchPlan
 from .common import SolverConfig, SolveReport
 from .generators import IsingSpec, gen_ising_grid, gen_random_mrf
@@ -27,17 +27,15 @@ EXIT_DEGENERATE = 3
 
 def _log_transform(mrf: PairwiseMRF) -> PairwiseMRF:
     """Entrywise log of all tables, for files using the probability convention."""
-
-    def check(a, what):
-        if np.any(np.asarray(a) <= 0.0):
+    unaries = mrf.unaries or {}
+    for arrays, what in ((mrf.tables, "table entries"), (tuple(unaries.values()), "unary entries")):
+        if arrays and np.concatenate([a.ravel() for a in arrays]).min() <= 0.0:
             raise ValueError(f"--log-transform requires strictly positive {what}")
-        return np.log(a)
-
-    tables = tuple(check(t, "table entries") for t in mrf.tables)
-    unaries = None
-    if mrf.unaries:
-        unaries = {i: check(u, "unary entries") for i, u in mrf.unaries.items()}
-    return PairwiseMRF(mrf.cardinalities, mrf.edges, tables, unaries)
+    tables, logs = tuple(map(np.log, mrf.tables)), {i: np.log(u) for i, u in unaries.items()}
+    for a in (*tables, *logs.values()):
+        a.flags.writeable = False
+    # the log of a finite positive entry is finite: the model needs no new checks
+    return model._trusted(mrf.cardinalities, mrf.edges, tables, logs or None)
 
 
 def _write_trace(path: str, report: SolveReport) -> None:

@@ -105,14 +105,8 @@ class _MpGraph:
         return new
 
     def _label_max(self, X: np.ndarray) -> np.ndarray:
-        """Max of each message over its target's valid labels, one label at a time."""
-        mx = X[:, 0].copy()
-        for label in range(1, X.shape[1]):
-            col = X[:, label]
-            if self.ragged:
-                col = np.where(self.tgt_valid[label], col, -np.inf)
-            np.maximum(mx, col, out=mx)
-        return mx
+        """Max of each message over its target's valid labels."""
+        return (np.where(self.tgt_valid, X, -np.inf) if self.ragged else X).max(axis=1)
 
     def max_change(self, new: np.ndarray, M: np.ndarray) -> np.ndarray:
         """Per restart, the largest change of a message entry on a valid label."""

@@ -41,17 +41,11 @@ class DegenerateNodeError(ModelError):
         super().__init__(f"node {node}: {message}")
 
 
-def _check_finite(arrays: List[np.ndarray], name: Callable[[int], str]) -> None:
-    """Raise ModelError naming (`name(index)`) the first array with a nan or inf
-    entry; one `isfinite` per 2**16 entries."""
-    start = size = 0
-    for end, a in enumerate(arrays, start=1):
-        size += a.size
-        if size >= 1 << 16 or end == len(arrays):
-            if not np.isfinite(np.concatenate([x.ravel() for x in arrays[start:end]])).all():
-                bad = next(e for e in range(start, end) if not np.isfinite(arrays[e]).all())
-                raise ModelError(f"{name(bad)} has non-finite entries")
-            start, size = end, 0
+def _check_finite(arrays: Sequence[np.ndarray], name: Callable[[int], str]) -> None:
+    """Raise ModelError naming (`name(index)`) the first array with a nan or inf entry."""
+    for e, a in enumerate(arrays):
+        if not np.isfinite(a).all():
+            raise ModelError(f"{name(e)} has non-finite entries")
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,16 @@ Tables are read as additive potentials in the linear domain (not the
 probability convention); callers ingesting genuinely probabilistic files
 can log-transform after parsing.  `#` starts a comment on read; the writer
 never emits one.  The writer is canonical: byte-identical output for equal
-models.  The reader converts each section's tokens in one pass (the
-cardinalities, the scope variables, the entry counts, all table entries)
-and gathers each table shape's tables from the entries at once; line
-numbers and messages are made only for an error, which is the first fault
-in file order.
+models.  The reader converts each section's tokens in one array pass and
+gathers each table shape's tables from the entries at once; a file that
+pass rejects is read again one token at a time, to name its first fault
+in file order with its line.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from contextlib import suppress
-from itertools import accumulate
-from typing import List, Tuple
+from math import isfinite, prod
+from typing import Tuple
 
 import numpy as np
 
@@ -28,26 +25,6 @@ class UaiParseError(ValueError):
     def __init__(self, line: int, message: str):
         self.line = line
         super().__init__(f"line {line}: {message}")
-
-
-def _line_of(text: str, index: int) -> int:
-    """Line of token `index`; past the last token, the last token's line (1 if none)."""
-    ends = list(accumulate(len(line.split("#", 1)[0].split()) for line in text.splitlines()))
-    return bisect_right(ends, min(index, ends[-1] - 1)) + 1 if ends and ends[-1] else 1
-
-
-def _numbers(dtype: type, tokens: List[str]) -> np.ndarray:
-    """The tokens as `float`s or `np.int64`s, up to the first one that is not
-    such a number; an int beyond int64 makes it an array of Python ints."""
-    try:
-        return np.array(tokens, dtype=dtype)
-    except (ValueError, OverflowError):  # one at a time, up to the fault
-        out: list = []
-        with suppress(ValueError):
-            for tok in tokens:
-                out.append((float if dtype is float else int)(tok))
-        fits = dtype is float or max(map(abs, out), default=0) < 2**63
-        return np.array(out, dtype=dtype if fits else object)
 
 
 def _sum_scopes(vals: np.ndarray, key: np.ndarray, at: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -78,97 +55,43 @@ def parse_uai(text: str) -> PairwiseMRF:
 
     Unary factors become unary vectors; pairwise factors become edge
     tables, canonically oriented; repeated scopes over the same pair or
-    node are summed.  Factors of arity > 2 are rejected.
+    node are summed.  Factors of arity > 2 are rejected.  A file the array
+    pass rejects is read again by `_first_fault`, which names its first fault.
     """
     toks = (" ".join(line.split("#", 1)[0] for line in text.splitlines()) if "#" in text else text).split()
     ntok = len(toks)
-
-    def error(i: int, message: str) -> UaiParseError:
-        return UaiParseError(_line_of(text, i), message)
-
-    def expected(i: int, what: str) -> UaiParseError:
-        return error(i, f"expected {what}, got {toks[i]!r}" if i < ntok else
-                     f"unexpected end of input, expected {what}")
-
-    def int_at(i: int, what: str) -> int:
-        try:
-            return int(toks[i])
-        except (IndexError, ValueError):
-            raise expected(i, what) from None
-
-    if not ntok or toks[0].upper() != "MARKOV":
-        raise error(0, f"expected MARKOV header, got {toks[0]!r}" if ntok else
-                    "unexpected end of input, expected MARKOV header")
-    n = int_at(1, "variable count")
-    if n < 0:
-        raise error(1, "negative variable count")
-    cards = _numbers(np.int64, toks[2:2 + n])
-    if (low := np.flatnonzero(cards < 1)).size:
-        raise error(2 + low[0], f"variable {low[0]} has cardinality {cards[low[0]]}")
-    if len(cards) < n:
-        raise expected(2 + len(cards), f"cardinality of variable {len(cards)}")
-    nf, first = int_at(2 + n, "factor count"), 3 + n
-
-    # each arity fixes where the next scope starts; the walk stops at one that is not 1 or 2
-    pos, ends, width = first, [first], {"1": 2, "2": 3}  # a scope's tokens, by arity as spelt
-    with suppress(IndexError, ValueError):
+    try:
+        n = int(toks[1])
+        cards = list(map(int, toks[2:2 + n]))
+        card = np.array([min(k, ntok) for k in cards], dtype=np.int64)  # no scope fits a larger one
+        nf, first = int(toks[2 + n]), 3 + n
+        if toks[0].upper() != "MARKOV" or n < 0 or len(cards) < n or (card < 1).any():
+            raise ValueError
+        # each arity fixes where the next scope starts
+        pos, ends, width = first, [first], {"1": 2, "2": 3}  # a scope's tokens, by arity as spelt
         for _ in range(nf):
             if (step := width.get(toks[pos]) or 1 + int(toks[pos])) not in (2, 3):
-                break
+                raise ValueError
             pos += step
             ends.append(pos)
-    starts, arities = np.array(ends[:-1], dtype=int) - first, np.diff(ends) - 1
-    scope = _numbers(np.int64, toks[first:pos])  # every arity is an int: a fault is a variable's
-    bad = ((scope < 0) | (scope >= n)) & ~np.isin(np.arange(len(scope)), starts)  # a variable out of range
-    second = starts[(arities == 2) & (starts + 2 < len(scope))] + 2
-    repeats = second[scope[second - 1] == scope[second]]  # a pair's second variable, equal to its first
-    q = min([*np.flatnonzero(bad)[:1], *repeats[:1], len(scope)])
-    if q < pos - first:  # the first fault of a scope variable, in file order
-        f, p = bisect_right(ends, first + q) - 1, first + q
-        if q == len(scope):
-            raise expected(p, f"scope variable of factor {f}")
-        if bad[q]:
-            raise error(p, f"factor {f} references variable {scope[q]}, out of range")
-        raise error(p, f"factor {f} repeats variable {scope[q]} in its scope")
-    if len(ends) <= nf:
-        f, arity = len(ends) - 1, int_at(pos, f"arity of factor {len(ends) - 1}")
-        raise error(pos, f"factor {f} has unsupported arity {arity}; only unary and pairwise supported")
-
-    # The scopes fix where each count sits, as long as the counts before it
-    # match.  A fault found is `pending` until no earlier entry is at fault.
-    u, w = scope[starts + 1].astype(np.int64), scope[starts + arities].astype(np.int64)  # w is u if unary
-    # Python ints if a product could overflow, so that the implied entry counts are exact
-    card = cards.astype(object) if cards.size and cards.max() >= 2**31 else cards
-    sizes = card[u] * np.where(arities == 2, card[w], 1)
-    # A count's place is exact while every factor before it fits in the
-    # tokens; one that does not puts all later counts past the end.
-    step = np.minimum(sizes, ntok).astype(np.int64)
-    count_pos = pos + np.cumsum(1 + step) - 1 - step
-    got = _numbers(np.int64, [toks[c] for c in count_pos[count_pos < ntok].tolist()])
-    mismatch = np.flatnonzero(got != sizes[:len(got)])
-    g = mismatch[0] if mismatch.size else len(got)  # the first factor whose count is at fault
-    entries, pos, pending = pos, pos + int(np.sum(1 + step)), None
-    if g < nf:
-        pos = count_pos[g]
-        pending = (expected(pos, f"entry count of factor {g}") if g == len(got) else
-                   error(pos, f"factor {g} declares {got[g]} entries, scope implies {sizes[g]}"))
-    vals = _numbers(float, toks[entries:min(pos, ntok)])
-    stop = entries + len(vals)  # entries from here on are missing or not floats
-    if stop < pos:
-        h = bisect_right(count_pos[:g], stop) - 1  # the factors before g have their counts right
-        pending = expected(stop, f"entry {stop - count_pos[h] - 1} of factor {h}")
-    if (nonfinite := np.flatnonzero(~np.isfinite(vals))).size:
-        h = bisect_right(count_pos[:g], entries + nonfinite[0]) - 1
-        if count_pos[h] + sizes[h] < stop:
-            raise error(count_pos[h] + sizes[h], f"factor {h} has non-finite entries")
-    if pending is not None:
-        raise pending
-    if pos < ntok:
-        raise error(pos, f"trailing content {toks[pos]!r}")
+        starts, arities = np.array(ends[:-1], dtype=int) - first, np.diff(ends) - 1
+        scope = np.array(toks[first:pos], dtype=np.int64)  # the arities and the variables
+        u, w = scope[starts + 1], scope[starts + arities]  # w is u if unary
+        sizes = card[u] * np.where(arities == 2, card[w], 1)
+        if ((u < 0) | (w < 0) | (u >= n) | (w >= n) | ((u == w) & (arities == 2)) | (sizes >= ntok)).any():
+            raise ValueError
+        # the scopes fix where each count sits; the entries end the file
+        count_pos = pos + np.cumsum(1 + sizes) - 1 - sizes
+        if (np.array([toks[c] for c in count_pos.tolist()], dtype=np.int64) != sizes).any():
+            raise ValueError
+        vals = np.array(toks[pos:], dtype=float)  # the counts as well: `at` skips them
+        if pos + int(np.sum(1 + sizes)) != ntok or not np.isfinite(vals).all():
+            raise ValueError
+    except (IndexError, ValueError, OverflowError):
+        raise _first_fault(text) from None
 
     # one gather per table shape; repeated scopes are summed in file order
-    # a cardinality in a scope is below ntok now; one beyond int64 is in none
-    card, at = np.minimum(card, ntok).astype(np.int64), count_pos + 1 - entries
+    at = count_pos + 1 - pos
     one, two = np.flatnonzero(arities == 1), np.flatnonzero(arities == 2)
     lo, hi = np.minimum(u[two], w[two]), np.maximum(u[two], w[two])
     with np.errstate(over="ignore"):  # an overflowing sum is reported below
@@ -176,10 +99,62 @@ def parse_uai(text: str) -> PairwiseMRF:
         pairs, tables = _sum_scopes(vals, lo * n + hi, at[two], card[lo], card[hi], u[two] > w[two], False)
     edges = tuple(zip((pairs // max(n, 1)).tolist(), (pairs % max(n, 1)).tolist()))
     if len(pairs) + len(nodes) < nf:  # only a repeated scope sums entries
-        model._check_finite(list(tables), lambda e: "edge ({},{}) table".format(*edges[e]))
-        model._check_finite(list(unaries), lambda e: f"unary on node {nodes[e]}")
+        model._check_finite(tables, lambda e: "edge ({},{}) table".format(*edges[e]))
+        model._check_finite(unaries, lambda e: f"unary on node {nodes[e]}")
     # the rest was checked above as PairwiseMRF would check it; the tables are read-only
-    return model._trusted(tuple(cards.tolist()), edges, tables, dict(zip(nodes.tolist(), unaries)) or None)
+    return model._trusted(tuple(cards), edges, tables, dict(zip(nodes.tolist(), unaries)) or None)
+
+
+def _first_fault(text: str) -> UaiParseError:
+    """The first fault of a file the array pass rejected, read one token at a
+    time in the order of `tests/oracles.parse_uai_reference`, with exact ints
+    and nothing stored per declared entry."""
+    tokens = ((tok, i) for i, line in enumerate(text.splitlines(), 1) for tok in line.split("#", 1)[0].split())
+    line = 1  # the line of the last token taken
+
+    def take(what: str) -> str:
+        nonlocal line
+        for tok, line in tokens:
+            return tok
+        raise UaiParseError(line, f"unexpected end of input, expected {what}")
+
+    def number(kind: type, what: str):
+        tok = take(what)
+        try:
+            return kind(tok)
+        except ValueError:
+            raise UaiParseError(line, f"expected {what}, got {tok!r}") from None
+
+    try:
+        if (header := take("MARKOV header")).upper() != "MARKOV":
+            raise UaiParseError(line, f"expected MARKOV header, got {header!r}")
+        if (n := number(int, "variable count")) < 0:
+            raise UaiParseError(line, "negative variable count")
+        cards = []
+        for v in range(n):
+            if (k := number(int, f"cardinality of variable {v}")) < 1:
+                raise UaiParseError(line, f"variable {v} has cardinality {k}")
+            cards.append(k)
+        scopes = []
+        for f in range(number(int, "factor count")):
+            if (arity := number(int, f"arity of factor {f}")) not in (1, 2):
+                raise UaiParseError(line, f"factor {f} has unsupported arity {arity}; only unary and pairwise supported")
+            scopes.append([])
+            for _ in range(arity):
+                if not 0 <= (v := number(int, f"scope variable of factor {f}")) < n:
+                    raise UaiParseError(line, f"factor {f} references variable {v}, out of range")
+                if v in scopes[-1]:
+                    raise UaiParseError(line, f"factor {f} repeats variable {v} in its scope")
+                scopes[-1].append(v)
+        for f, scope in enumerate(scopes):
+            if (count := number(int, f"entry count of factor {f}")) != (size := prod(cards[v] for v in scope)):
+                raise UaiParseError(line, f"factor {f} declares {count} entries, scope implies {size}")
+            if sum(not isfinite(number(float, f"entry {e} of factor {f}")) for e in range(count)):  # reads all
+                raise UaiParseError(line, f"factor {f} has non-finite entries")
+        trailing = take("end of input")
+        raise UaiParseError(line, f"trailing content {trailing!r}")
+    except UaiParseError as fault:
+        return fault
 
 
 def _fmt(x: float) -> str:

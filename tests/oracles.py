@@ -618,13 +618,15 @@ def parse_uai_reference(text: str) -> PairwiseMRF:
     edge_tables: Dict[Tuple[int, int], np.ndarray] = {}
     edge_order: List[Tuple[int, int]] = []
     for f, scope in enumerate(scopes):
-        expected = int(np.prod([cards[v] for v in scope]))
+        expected = math.prod(cards[v] for v in scope)  # exact, as Python ints
         count, line = r.next_int(f"entry count of factor {f}")
         if count != expected:
             raise UaiParseError(line, f"factor {f} declares {count} entries, scope implies {expected}")
-        vals = np.empty(count)
+        entries = []  # as many as are read, not as many as declared
         for e in range(count):
-            vals[e], line = r.next_float(f"entry {e} of factor {f}")
+            x, line = r.next_float(f"entry {e} of factor {f}")
+            entries.append(x)
+        vals = np.array(entries, dtype=float)
         if not np.all(np.isfinite(vals)):
             raise UaiParseError(line, f"factor {f} has non-finite entries")
         if len(scope) == 1:

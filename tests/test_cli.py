@@ -135,6 +135,19 @@ class TestSolve:
         assert rc == cli.EXIT_OK
         assert "assignment: 0 0" in capsys.readouterr().out
 
+    def test_log_transform_gives_read_only_logs(self):
+        rng = np.random.default_rng(5)
+        m = PairwiseMRF((2, 3, 2), ((0, 1), (2, 1)), (rng.random((2, 3)) + 0.1, rng.random((2, 3)) + 0.1),
+                        {1: rng.random(3) + 0.1, 0: rng.random(2) + 0.1})
+        parsed = parse_uai(write_uai(m))
+        got = cli._log_transform(parsed)
+        assert got.cardinalities == parsed.cardinalities and got.edges == parsed.edges
+        assert list(got.unaries) == list(parsed.unaries)
+        for a, b in zip(got.tables + tuple(got.unaries.values()), parsed.tables + tuple(parsed.unaries.values())):
+            assert a.shape == b.shape and a.tobytes() == np.log(b).tobytes() and not a.flags.writeable
+        with pytest.raises(ValueError, match="^--log-transform requires strictly positive unary entries$"):
+            cli._log_transform(PairwiseMRF(m.cardinalities, m.edges, m.tables, {2: [1.0, 0.0]}))
+
 
 class TestGenerate:
     def test_ising_roundtrips(self, tmp_path, capsys):

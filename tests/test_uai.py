@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,46 @@ def test_parse_matches_reference_on_a_grid_file():
     assert_same_model(parse_uai(text), parse_uai_reference(text))
 
 
+def test_arities_spelt_with_a_zero_or_a_sign():
+    text = "MARKOV\n3\n2 3 2\n3\n02 0 1\n+1 2\n+2 2 1\n\n6\n1 2 3 4 5 6\n\n2\n7 8\n\n6\n9 10 11 12 13 14\n"
+    m = parse_uai(text)
+    assert m.edges == ((0, 1), (1, 2)) and list(m.unaries) == [2]
+    assert_same_model(m, parse_uai_reference(text))
+
+
+EDIT_POOL = ("x", "nan", "-1", "0", "2.0", "02", "+1", "99999999999999999999")
+
+
+def _edit_one_token(text, rng):
+    """`text` with one token (outside comments) deleted, duplicated, or
+    replaced by one from EDIT_POOL."""
+    spans, offset = [], 0
+    for line in text.splitlines(keepends=True):
+        spans += [(offset + m.start(), offset + m.end()) for m in re.finditer(r"\S+", line.split("#", 1)[0])]
+        offset += len(line)
+    a, b = spans[int(rng.integers(len(spans)))]
+    edit = int(rng.integers(3))
+    new = "" if edit == 0 else text[a:b] + " " + text[a:b] if edit == 1 else str(rng.choice(EDIT_POOL))
+    return text[:a] + new + text[b:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_one_token_edit_parses_as_reference(seed):
+    """The array pass and `_first_fault` against the reference: the same
+    error (message and line), or byte-identical models."""
+    rng = np.random.default_rng(seed)
+    text = _edit_one_token(_random_uai_text(rng), rng)
+    try:
+        ref = parse_uai_reference(text)
+    except UaiParseError as fault:
+        with pytest.raises(UaiParseError) as got:
+            parse_uai(text)
+        assert str(got.value) == str(fault) and got.value.line == fault.line
+    else:
+        assert_same_model(parse_uai(text), ref)
+
+
 HEAD = "MARKOV\n2\n2 3\n"
 MALFORMED = {
     "empty": "",
@@ -223,8 +265,10 @@ MALFORMED = {
     "arity-0": HEAD + "2\n1 0\n0\n",
     "repeated-variable": HEAD + "2\n1 1\n2 1 1\n",
     "repeated-variable-across-lines": HEAD + "2\n1 1\n2 1\n1\n",
+    "repeated-variable-with-entries": "MARKOV\n2\n2 2\n1\n2 1 1\n\n4\n1 2 3 4\n",
     "out-of-range-variable": HEAD + "2\n1 0\n2 0 2\n",
     "negative-variable": HEAD + "1\n1 -1\n",
+    "negative-variable-with-entries": HEAD + "1\n1 -1\n\n3\n1 2 3\n",
     "bad-int-scope": HEAD + "1\n2 0 one\n",
     "truncated-first-count": HEAD + "1\n2 0 1\n",
     "truncated-later-count": HEAD + "2\n1 0\n2 0 1\n\n2\n1 2\n",
@@ -257,22 +301,13 @@ MALFORMED = {
     "negative-cardinality-beyond-int64": "MARKOV\n2\n2 -100000000000000000000\n0\n",
     "count-beyond-int64": "MARKOV\n1\n2\n1\n1 0\n\n99999999999999999999\n1 2\n",
     "scope-variable-beyond-int64": "MARKOV\n2\n2 2\n1\n2 0 99999999999999999999\n",
+    # two cardinalities within int64 whose product is not
+    "scope-size-beyond-int64": "MARKOV\n2\n3037000500 3037000500\n1\n2 0 1\n\n5\n",
 }
 
 
-@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_input_fails_as_reference(text):
-    with pytest.raises(ValueError) as ref:
-        parse_uai_reference(text)
-    with pytest.raises(ValueError) as got:
-        parse_uai(text)
-    assert type(got.value) is type(ref.value) is UaiParseError
-    assert str(got.value) == str(ref.value)
-    assert got.value.line == ref.value.line
-
-
-# A count that matches a huge scope; the reference parser allocates the
-# declared entries, so the expected messages are written out.
+# A count that matches a huge scope, the expected messages written out; the
+# files are checked against the reference with the rest of MALFORMED too.
 HUGE_DECLARED = {
     "wrapping-counts": ("MARKOV\n2\n2147483647 2147483647\n4\n2 0 1\n2 0 1\n2 0 1\n2 0 1\n"
                         "\n4611686014132420609\n1 2 3\n",
@@ -285,6 +320,19 @@ HUGE_DECLARED = {
     "cardinality-beyond-int32": ("MARKOV\n1\n3000000000\n1\n1 0\n\n3000000000\n1 2 x\n",
                                  "line 8: expected entry 2 of factor 0, got 'x'"),
 }
+
+MALFORMED.update({f"huge-declared-{name}": text for name, (text, _) in HUGE_DECLARED.items()})
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_fails_as_reference(text):
+    with pytest.raises(ValueError) as ref:
+        parse_uai_reference(text)
+    with pytest.raises(ValueError) as got:
+        parse_uai(text)
+    assert type(got.value) is type(ref.value) is UaiParseError
+    assert str(got.value) == str(ref.value)
+    assert got.value.line == ref.value.line
 
 
 @pytest.mark.parametrize("text, message", HUGE_DECLARED.values(), ids=HUGE_DECLARED.keys())
