@@ -82,6 +82,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except (DegenerateNodeError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except MemoryError as exc:  # arrays sized by the file's largest cardinality
+        print(f"error: {args.input}: model too large: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
     if args.trace:
         try:

@@ -17,7 +17,7 @@ import numpy as np
 from . import model
 from .common import SolverConfig, SolveReport, relaxation_restarts, run_restarts
 from .model import DegenerateNodeError, PairwiseMRF
-from .packed import PackedGraph
+from .packed import PackedGraph, label_sum
 
 log = logging.getLogger(__name__)
 
@@ -33,7 +33,7 @@ class _Sweep:
 
     def __call__(self, P, S, live, diag):
         numer = P * S
-        C = numer.sum(axis=-1)
+        C = label_sum(numer)
         if np.any(C <= 0.0):
             node = int(np.argwhere(C <= 0.0)[0][-1])  # first in restart, then node order
             raise DegenerateNodeError(node, "zero total incoming weight (C = 0)")

@@ -5,6 +5,13 @@ R restarts), zero-padded when label counts differ, with a boolean validity
 mask.  Edge tables are stacked once in canonical orientation, one shape at
 a time; the reverse orientation is obtained by transposed einsums.  Binary
 graphs (kmax <= 2) also keep a label-major copy of the tables, built on first use.
+
+Per-node reductions over a short label axis are whole-stack operations on
+label slices, not numpy's row-at-a-time loop, and exact: `label_sum` adds
+one slice per label (numpy sums a row shorter than PAIRWISE_BLOCK left to
+right from 0.0; counts, and so `label_any`, are exact in any order), and a
+binary `decode` gives label 1 only where strictly higher (argmax's
+lowest-label tie rule).
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ from . import model
 from .model import DegenerateNodeError, PairwiseMRF
 
 log = logging.getLogger(__name__)
+
+# numpy adds a row of fewer than this many entries one entry after another,
+# starting from 0.0; from this length on its pairwise sum keeps 8 partial sums
+PAIRWISE_BLOCK = 8
 
 
 @dataclass
@@ -136,6 +147,11 @@ class PackedGraph:
         # below every value, as max-product's log beliefs can all be below -1
         if self.padded:
             P = np.where(self.valid if axis in (-1, P.ndim - 1) else self.valid.T, P, -np.inf)
+        if self.kmax == 2:
+            # label 1 only where strictly higher: argmax's tie rule, for the
+            # NaN-free values every solver decodes
+            lead = (slice(None),) * (axis % P.ndim)
+            return (P[lead + (1,)] > P[lead + (0,)]).astype(np.intp)
         return np.argmax(P, axis=axis)
 
     # -- sweeps and objectives ------------------------------------------
@@ -197,6 +213,25 @@ class PackedGraph:
         return self._node_sums(np.abs(self.tables)) / 2.0
 
 
+def label_sum(X: np.ndarray) -> np.ndarray:
+    """`X.sum(axis=-1)` of a float or bool stack, bit for bit: below PAIRWISE_BLOCK
+    labels, one whole-stack add per label slice, in numpy's left-to-right order."""
+    k = X.shape[-1]
+    if not 2 <= k < PAIRWISE_BLOCK:
+        return X.sum(axis=-1)
+    total = np.add(X[..., 0], X[..., 1], dtype=np.intp if X.dtype == bool else None)
+    for j in range(2, k):
+        total += X[..., j]
+    if total.dtype.kind == "f":
+        total += 0.0  # numpy starts from +0.0, so an all -0.0 row sums to +0.0
+    return total
+
+
+def label_any(X: np.ndarray) -> np.ndarray:
+    """`X.any(axis=-1)` of a bool stack: a nonzero `label_sum` count below PAIRWISE_BLOCK labels."""
+    return X.any(axis=-1) if X.shape[-1] >= PAIRWISE_BLOCK else label_sum(X) > 0
+
+
 def row_sums(X: np.ndarray) -> float | np.ndarray:
     """Sum of each (n, kmax) matrix of a stack, as the 1-D sum of its C-ordered entries."""
     return X.reshape(X.shape[:-2] + (X.shape[-2] * X.shape[-1],)).sum(axis=-1)
@@ -224,11 +259,11 @@ def clamped_simplex_sweep(
     lam_prev = np.full(rows, -np.inf)
     P = np.zeros_like(grad)
     for _ in range(max(grad.shape[-1], 1)):
-        den = inv.sum(axis=-1)
-        num = (grad * inv).sum(axis=-1) - 1.0
+        den = label_sum(inv)
+        num = label_sum(grad * inv) - 1.0
         lam = num / den
         P = np.where(active, (grad - lam[..., None]) / safe_denom, 0.0)
-        single = active.sum(axis=-1) == 1
+        single = label_sum(active) == 1
         if single.any():
             P[single] = np.where(active[single], 1.0, 0.0)
         if diag is not None:
@@ -247,8 +282,7 @@ def clamped_simplex_sweep(
         neg = active & (P < 0.0)
         if not neg.any():
             break
-        hit = neg.any(axis=-1)
-        passes += hit
+        passes += label_any(neg)
         active &= ~neg
         inv[neg] = 0.0
     if diag is not None:

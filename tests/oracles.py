@@ -8,7 +8,8 @@ per-node belief fixtures, the per-token UAI reader and the per-edge
 solver-ready form.  The
 restart references run one restart at a time on a `PackedGraph`, with
 `np.add.at` scatters (and a broadcast max for max-product); the batched
-solvers must match them exactly.
+solvers must match them exactly.  The clamped simplex sweep's reference
+reduces over the label axis with numpy's own per-row `sum` and `any`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from qpmap import cccp, maxproduct, model
 from qpmap.common import SolverConfig, SolveReport, TraceRecord, init_beliefs, restart_rng
 from qpmap.model import DegenerateNodeError, PairwiseMRF, UnsupportedModelError, check_assignment
-from qpmap.packed import Diagnostics, PackedGraph, clamped_simplex_sweep
+from qpmap.packed import Diagnostics, PackedGraph
 from qpmap.uai import UaiParseError
 
 
@@ -200,6 +201,56 @@ def inner_loop(gradient: Sequence[float], denominator: Sequence[float]) -> Inner
         for x in neg:
             p[x] = 0.0
     return InnerResult(p, history[-1], zeros, history)
+
+
+def clamped_simplex_sweep_reference(
+    grad: np.ndarray,
+    denom: np.ndarray,
+    valid: np.ndarray,
+    diag: Optional[Diagnostics] = None,
+) -> np.ndarray:
+    """`packed.clamped_simplex_sweep` with numpy's label-axis reductions
+    (`sum(axis=-1)`, `any(axis=-1)`) in place of its label-slice sums; it
+    counts multiplier violations without logging them.  The library sweep
+    must match it bit for bit, `Diagnostics` included."""
+    rows = grad.shape[:-1]
+    active = np.broadcast_to(valid, grad.shape).copy()
+    safe_denom = np.where(valid, denom, 1.0)
+    inv = np.where(active, 1.0 / safe_denom, 0.0)
+    passes = np.ones(rows, dtype=int)
+    lam_prev = np.full(rows, -np.inf)
+    P = np.zeros_like(grad)
+    for _ in range(max(grad.shape[-1], 1)):
+        den = inv.sum(axis=-1)
+        num = (grad * inv).sum(axis=-1) - 1.0
+        lam = num / den
+        P = np.where(active, (grad - lam[..., None]) / safe_denom, 0.0)
+        single = active.sum(axis=-1) == 1
+        if single.any():
+            P[single] = np.where(active[single], 1.0, 0.0)
+        if diag is not None:
+            viol = (passes > 1) & (lam < lam_prev - 1e-12)
+            diag.multiplier_violations += int(viol.sum())
+            lam_prev = lam
+        neg = active & (P < 0.0)
+        if not neg.any():
+            break
+        passes += neg.any(axis=-1)
+        active &= ~neg
+        inv[neg] = 0.0
+    if diag is not None:
+        diag.record_passes(passes)
+        on = valid & (P > 0.0)
+        resid = np.abs(denom * P - grad + lam[..., None])
+        if on.any():
+            diag.max_stationarity_residual = max(
+                diag.max_stationarity_residual, float(resid[on].max())
+            )
+        off = valid & ~on
+        if off.any():
+            mu = (lam[..., None] - grad)[off]
+            diag.min_clamped_multiplier = min(diag.min_clamped_multiplier, float(mu.min()))
+    return P
 
 
 def theta(mrf: PairwiseMRF, i: int, j: int) -> np.ndarray:
@@ -459,7 +510,7 @@ def _reference_solver(solver: str, graph: PackedGraph, config: SolverConfig):
         denom = 2.0 * d + graph.theta_hat
 
         def convex_sweep(P, S, diag):
-            P = clamped_simplex_sweep(P * graph.theta_hat + S + d, denom, graph.valid, diag)
+            P = clamped_simplex_sweep_reference(P * graph.theta_hat + S + d, denom, graph.valid, diag)
             return P, delta_sums_add_at(graph, P)
 
         return lambda: convex_sweep, lambda P, S: _qp(P, S) + float((P * (1.0 - P) * d).sum())

@@ -1,6 +1,13 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qpmap
 from qpmap import cli
 from qpmap.bench import SOLVERS
 from qpmap.common import SolverConfig
@@ -60,6 +67,23 @@ class TestSolve:
         rc = cli.main(["solve", "--input", str(p)])
         assert rc == cli.EXIT_PARSE
         assert capsys.readouterr().err == f"error: {p}: edge (0,1) table has non-finite entries\n"
+
+    def test_oversized_model_is_input_error(self, tmp_path):
+        # variable 2 is in no factor, yet its 2147483647 labels size prepare_model's
+        # (n, kmax) share matrix: 48 GiB.  The child's address space is capped at
+        # 4 GiB, so that allocation fails alike on every host and none is touched.
+        p = tmp_path / "huge.uai"
+        p.write_text("MARKOV\n3\n2 2 2147483647\n1\n2 0 1\n4\n1.0 2.0 3.0 0.5\n")
+        cap = 4 << 30
+        env = {**os.environ, "PYTHONPATH": str(Path(qpmap.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+        run = subprocess.run(
+            [sys.executable, "-m", "qpmap.cli", "solve", "--input", str(p), "--solver", "cccp"],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert run.returncode == cli.EXIT_PARSE
+        assert run.stderr.startswith(f"error: {p}: model too large: Unable to allocate 48.0 GiB")
+        assert run.stderr.count("\n") == 1 and not run.stdout
 
     def test_degenerate_model(self, tmp_path, capsys):
         m = PairwiseMRF((2, 2), ((0, 1),), (np.zeros((2, 2)),))
