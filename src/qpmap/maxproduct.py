@@ -23,11 +23,12 @@ import numpy as np
 from . import model
 from .common import SolverConfig, SolveReport, restart_rng, run_restarts
 from .model import PairwiseMRF
-from .packed import PackedGraph, SlotScatter
+from .packed import PackedGraph, SlotScatter, both_directions
 
 LOG_ZERO = -1e9
 RESTART_NOISE = 0.01  # scale of the uniform noise on restart r > 0's initial messages
 DEFAULT_LOOPY_DAMPING = 0.5
+PARALLEL_MIN_MESSAGES = 1 << 15  # per sweep; below, a threaded max-plus's 2 lock hand-offs a label cost more
 
 
 def _is_forest(mrf: PairwiseMRF) -> bool:
@@ -97,8 +98,9 @@ class _MpGraph:
         m = self.m
         X = np.take(B, self.graph.ends, axis=-1)
         X -= np.concatenate([M[..., m:], M[..., :m]], axis=-1)  # each message's reverse
-        new = np.concatenate([_max_plus(self.log_tables, X[..., :m]),
-                              _max_plus(self.log_tables.transpose(1, 0, 2), X[..., m:])], axis=-1)
+        T = self.log_tables
+        new = np.concatenate(both_directions(self.graph.parallel and X.size >= PARALLEL_MIN_MESSAGES, _max_plus,
+                                             (T, X[..., :m]), (T.transpose(1, 0, 2), X[..., m:])), axis=-1)
         new *= 1.0 - damping
         new += np.multiply(M, damping, out=X)  # X is spent: its buffer takes damping * M
         new -= self._label_max(new)[:, None, :]

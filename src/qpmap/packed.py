@@ -12,14 +12,25 @@ one slice per label (numpy sums a row shorter than PAIRWISE_BLOCK left to
 right from 0.0; counts, and so `label_any`, are exact in any order), and a
 binary `decode` gives label 1 only where strictly higher (argmax's
 lowest-label tie rule).
+
+Tables of PARALLEL_MIN_ENTRIES entries (2 MiB) or more, on a process allowed
+2 or more CPUs, sweep their two message directions at once: the caller takes
+src->tgt, one worker thread tgt->src, in `delta_sums` (kmax >= 3) and, from
+`maxproduct.PARALLEL_MIN_MESSAGES` message entries on, in max-product's
+max-plus.  numpy releases the interpreter lock inside those loops, and each
+direction makes its one-thread calls into its own half of the output, so the
+results are bit-identical.  Nothing of this is configurable; a smaller model
+starts no thread.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -32,6 +43,48 @@ log = logging.getLogger(__name__)
 # numpy adds a row of fewer than this many entries one entry after another,
 # starting from 0.0; from this length on its pairwise sum keeps 8 partial sums
 PAIRWISE_BLOCK = 8
+# from this many table entries on (2 MiB), a sweep hands one message direction
+# to a worker thread; below it the hand-off costs more than the thread saves
+PARALLEL_MIN_ENTRIES = 1 << 18
+_STARTING = threading.Lock()  # so that racing first calls start one worker
+
+
+@cache
+def _worker(pid: int):  # one per process: a forked child starts its own
+    from queue import SimpleQueue  # imported once a model needs it
+    calls = SimpleQueue()
+    threading.Thread(target=_serve, args=(calls,), daemon=True).start()
+    return calls
+
+
+def _serve(calls) -> None:
+    # a plain thread: a ThreadPoolExecutor's per-call objects left dense peak RSS up to 3 MB higher
+    while True:
+        fn, args, out, done = calls.get()
+        try:
+            out += fn(*args), None
+        except BaseException as exc:  # raised on the caller's thread
+            out += None, exc
+        del fn, args, out  # before the caller wakes, which then frees every array it passed
+        done.release()
+
+
+def both_directions(parallel: bool, fn, forward: tuple, backward: tuple) -> tuple:
+    """(fn(*forward), fn(*backward)), two calls that write disjoint outputs, the
+    backward one on the worker thread if `parallel`; both end before this returns or raises."""
+    if not parallel:
+        return fn(*forward), fn(*backward)
+    out, done = [], threading.Lock()
+    done.acquire()
+    with _STARTING:
+        _worker(os.getpid()).put((fn, backward, out, done))
+    try:
+        ahead = fn(*forward)
+    finally:
+        done.acquire()  # waits for the worker; an error on this thread is the one raised
+    if out[1] is not None:
+        raise out[1]
+    return ahead, out[0]
 
 
 @dataclass
@@ -119,6 +172,8 @@ class PackedGraph:
 
         # theta_hat(x_i) = sum over neighbors j, labels x_j of theta_ij(x_i, x_j)
         self.theta_hat = self._node_sums(self.tables)
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+        self.parallel = self.tables.size >= PARALLEL_MIN_ENTRIES and len(cpus) >= 2
 
     def _node_sums(self, X: np.ndarray) -> np.ndarray:
         """Per node, its (|E|, kmax, kmax) edge arrays' row sums as src plus column sums as tgt."""
@@ -182,12 +237,13 @@ class PackedGraph:
             np.einsum("rle,kle->rke", np.take(lm, self.tgt, axis=-1), T, out=msgs[..., m:])
             S = self.scatter.sum(msgs, axis=-1).transpose(0, 2, 1)
         else:
-            # one 2-D einsum per restart, one node-major scatter
+            # one 2-D einsum per restart and direction, one node-major scatter
             msgs = np.empty((2 * m, len(stack), self.kmax))
-            at_src, at_tgt = np.take(stack, self.src, axis=1), np.take(stack, self.tgt, axis=1)
-            for r in range(len(stack)):
-                msgs[:m, r] = np.einsum("ek,ekl->el", at_src[r], self.tables)
-                msgs[m:, r] = np.einsum("el,ekl->ek", at_tgt[r], self.tables)
+            def contract(half, at, spec):
+                for r in range(len(stack)):
+                    msgs[half, r] = np.einsum(spec, at[r], self.tables)
+            both_directions(self.parallel, contract, (slice(m), np.take(stack, self.src, axis=1), "ek,ekl->el"),
+                            (slice(m, None), np.take(stack, self.tgt, axis=1), "el,ekl->ek"))
             S = self.scatter.sum(msgs, axis=0).transpose(1, 0, 2)
         return np.ascontiguousarray(S).reshape(P.shape)
 

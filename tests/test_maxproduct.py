@@ -255,6 +255,15 @@ class TestBatchedRestarts:
         assert rep.integral_objective == 0.0
 
 
+class TestBatchedRestartsThreaded(TestBatchedRestarts):
+    """The same reports when every sweep runs the backward max-plus on the worker."""
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self, threaded):
+        yield
+        assert threaded  # every sweep of every model handed off
+
+
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_label_loop_max_plus_equals_broadcast(k):
     rng = np.random.default_rng(k)

@@ -1,15 +1,28 @@
 """Short label axes: `label_sum`, `label_any` and `PackedGraph.decode` against numpy's own
-reductions, and the clamped simplex sweep against its axis-reduction reference."""
+reductions, and the clamped simplex sweep against its axis-reduction reference.  The two
+message directions on two threads: when the worker is used, and that its results and
+errors are the serial path's."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpmap
+from qpmap import cccp, cli, maxproduct, packed
+from qpmap.common import SolverConfig
+from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from qpmap.model import PairwiseMRF
 from qpmap.packed import Diagnostics, PackedGraph, clamped_simplex_sweep, label_any, label_sum
+from qpmap.uai import write_uai
 from oracles import clamped_simplex_sweep_reference
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -103,3 +116,108 @@ def test_sweep_equals_axis_reduction_reference(k, diagnose):
         clamped_simplex_sweep_reference(grad, denom, valid, passes)
     # the stacks cover padded rows, single-label rows and rows clamped on several passes
     assert max(passes.inner_pass_hist) >= min(k, 3)
+
+
+# -- the two message directions on two threads ---------------------------------
+
+def on_worker() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
+def test_only_large_models_on_two_cpus_use_the_worker():
+    dense = PackedGraph(gen_random_mrf(20, 64, 1.0))
+    assert dense.parallel == (len(os.sched_getaffinity(0)) >= 2)
+    assert not PackedGraph(gen_ising_grid(IsingSpec(10, 10, 1.0))).parallel
+    assert not PackedGraph(gen_ising_grid(IsingSpec(50, 50, 1.0))).parallel
+
+
+def test_threaded_delta_sums_have_the_serial_bytes(threaded):
+    g = PackedGraph(gen_random_mrf(20, 64, 1.0))
+    P = np.random.default_rng(0).random((3, g.n, g.kmax))
+    two = g.delta_sums(P), g.delta_sums(P[1])
+    g.parallel = False
+    assert all(same_bits(a, b) for a, b in zip(two, (g.delta_sums(P), g.delta_sums(P[1]))))
+    assert threaded == [os.getpid()] * 2
+
+
+def test_threaded_solves_in_parallel_callers_equal_serial(threaded, monkeypatch):
+    # more callers than cores share the one worker, with thread switches every 10 us
+    m, config = gen_random_mrf(8, 5, 1.0, seed=2), SolverConfig(restarts=3, seed=1, max_outer_iterations=40)
+    with monkeypatch.context() as serial_only:
+        serial_only.setattr(packed, "PARALLEL_MIN_ENTRIES", np.inf)
+        serial = cccp.solve(m, config).trace
+    assert not threaded
+    reports = []
+    callers = [threading.Thread(target=lambda: reports.append(cccp.solve(m, config).trace)) for _ in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in callers)
+    assert reports == [serial] * 4 and threaded
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_error_in_either_half_is_raised_after_both_finish(threaded, monkeypatch, failing):
+    g = PackedGraph(gen_random_mrf(6, 8, 1.0, seed=1))
+    finished, einsum = [], np.einsum
+
+    def half(*args, **kw):
+        if on_worker() == (failing == "worker"):
+            raise MemoryError(f"{failing} half")
+        time.sleep(0.05)  # the other half has failed long before this one finishes
+        finished.append(einsum(*args, **kw))
+        return finished[-1]
+
+    monkeypatch.setattr(np, "einsum", half)
+    with pytest.raises(MemoryError, match=f"{failing} half"):
+        g.delta_sums(np.ones((2, g.n, g.kmax)))
+    assert len(finished) == 2  # one einsum per restart
+
+
+@pytest.mark.parametrize("solver, module, name", [("cccp", np, "einsum"), ("maxprod", maxproduct, "_max_plus")])
+def test_worker_memory_error_is_cli_input_error(threaded, monkeypatch, tmp_path, capsys, solver, module, name):
+    # a MemoryError in delta_sums' or max-product's worker half ends `qpmap solve` with one line
+    p = tmp_path / "model.uai"
+    p.write_text(write_uai(gen_random_mrf(6, 3, 1.0, seed=1)))
+    fn = getattr(module, name)
+
+    def half(*args, **kw):
+        if on_worker():
+            raise MemoryError("worker half")
+        return fn(*args, **kw)
+
+    monkeypatch.setattr(module, name, half)
+    assert cli.main(["solve", "--input", str(p), "--solver", solver, "--max-iters", "5"]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {p}: model too large: worker half\n"
+    assert threaded
+
+
+SMALL_SOLVES = """
+import sys, threading
+from qpmap import cli
+from qpmap.bench import SOLVERS
+from qpmap.common import SolverConfig
+from qpmap.generators import IsingSpec, gen_ising_grid
+from qpmap.uai import write_uai
+
+with open(sys.argv[1], "w") as f:
+    f.write(write_uai(gen_ising_grid(IsingSpec(50, 50, 1.0, seed=0))))
+for name, (solve, _) in SOLVERS.items():
+    solve(gen_ising_grid(IsingSpec(10, 10, 1.0, seed=0)), SolverConfig(restarts=10, max_outer_iterations=50))
+    assert cli.main(["solve", "--input", sys.argv[1], "--solver", name, "--max-iters", "20"]) == 0
+print(threading.active_count(), "queue" in sys.modules)
+"""
+
+
+def test_small_models_start_no_thread(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(qpmap.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", SMALL_SOLVES, str(tmp_path / "grid.uai")],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "1 False"  # no worker, and its call queue's module not imported

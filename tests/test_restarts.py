@@ -89,6 +89,14 @@ class TestBatchedRestarts:
             assert_same_report(solve(m, config), restarts_reference(solver, m, config))
 
 
+class TestBatchedRestartsThreaded(TestBatchedRestarts):
+    """The same reports when every model sends one message direction to the worker."""
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self, threaded):
+        pass
+
+
 @pytest.mark.parametrize(
     "m",
     [star(40, 2, 0), star(40, 3, 1), gen_ising_grid(IsingSpec(10, 10, 1.0, seed=0)),
