@@ -42,6 +42,7 @@ class BenchPlan:
     def __post_init__(self):
         if self.instances < 1 or self.restarts < 1 or not self.sizes or not self.betas:
             raise ValueError("all plan counts must be >= 1")
+        SolverConfig(seed=self.seed)  # raises on a negative seed, as each solve's config would
         for (rows, cols), beta in itertools.product(self.sizes, self.betas):
             IsingSpec(rows, cols, beta)  # raises on a size below 1x1 or a bad beta
         for s in self.solvers:

@@ -36,6 +36,8 @@ class SolverConfig:
             raise ValueError("restarts must be >= 1")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

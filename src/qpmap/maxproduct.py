@@ -125,7 +125,7 @@ def solve_mp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None,
     It maximises sum_ij log theta'_ij of the prepared (shifted, unary-absorbed)
     tables theta', where an entry that is 0 after the shift is a forbidden
     pair; every decode is scored on the additive objective (whether to run
-    max-sum on that objective instead is open, ROADMAP item 3).
+    max-sum on that objective instead is open: ROADMAP, "Baseline fidelity").
     `config.objective_tolerance` doubles as the max-message-change
     convergence threshold.  Damping defaults to 0 on forests and 0.5 on
     loopy graphs.

@@ -171,16 +171,11 @@ class PackedGraph:
                 self.tables[idx, :ki, :kj] = [mrf.tables[e] for e in idx.tolist()]
 
         # theta_hat(x_i) = sum over neighbors j, labels x_j of theta_ij(x_i, x_j)
-        self.theta_hat = self._node_sums(self.tables)
+        self.theta_hat = np.zeros((n, kmax))
+        np.add.at(self.theta_hat, self.src, self.tables.sum(axis=2))
+        np.add.at(self.theta_hat, self.tgt, self.tables.sum(axis=1))
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
         self.parallel = self.tables.size >= PARALLEL_MIN_ENTRIES and len(cpus) >= 2
-
-    def _node_sums(self, X: np.ndarray) -> np.ndarray:
-        """Per node, its (|E|, kmax, kmax) edge arrays' row sums as src plus column sums as tgt."""
-        S = np.zeros((self.n, self.kmax))
-        np.add.at(S, self.src, X.sum(axis=2))
-        np.add.at(S, self.tgt, X.sum(axis=1))
-        return S
 
     # -- model views ----------------------------------------------------
 
@@ -264,9 +259,10 @@ class PackedGraph:
         return self.tables.reshape(-1)[flat].sum(axis=-1)
 
     def diagonal_terms(self) -> np.ndarray:
-        """Per-node d_i(x_i) = sum over neighbors, labels of |theta|/2."""
-        # halving the sum rounds as halving each term does: it is exact
-        return self._node_sums(np.abs(self.tables)) / 2.0
+        """Per-node d_i(x_i) = sum over neighbors, labels of |theta|/2 on `prepare_model`'s
+        tables, the only ones a solver packs.  They are nonnegative, and every sum starts
+        from +0.0, which drops a -0.0 entry's sign: d is theta_hat/2 bit for bit (halving is exact)."""
+        return self.theta_hat / 2.0
 
 
 def label_sum(X: np.ndarray) -> np.ndarray:

@@ -117,7 +117,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag,value,field", [("--tol", "-1", "objective_tolerance"),
                                                   ("--restarts", "0", "restarts"),
-                                                  ("--max-iters", "0", "max_outer_iterations")])
+                                                  ("--max-iters", "0", "max_outer_iterations"),
+                                                  ("--seed", "-1", "seed")])
     def test_invalid_config_is_input_error(self, tmp_path, capsys, flag, value, field):
         rc = cli.main(["solve", "--input", write_minimal(tmp_path), flag, value])
         err = capsys.readouterr().err
@@ -251,7 +252,8 @@ class TestBench:
                                             ("--sizes", "0x3"), ("--instances", "0"),
                                             ("--betas", "x"), ("--solvers", "cccp,maxprod,cccp"),
                                             ("--betas", "1.0,1.0"), ("--sizes", "2x2,2x2"),
-                                            ("--betas", "nan"), ("--betas", "1.0,inf")])
+                                            ("--betas", "nan"), ("--betas", "1.0,inf"),
+                                            ("--seed", "-1")])
     def test_bad_input_is_input_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
         rc = cli.main(["bench", "--sizes", "3x3", "--betas", "1.0", "--instances", "1",

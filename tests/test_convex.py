@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpmap import convex
 from qpmap.common import SolverConfig, init_beliefs, restart_rng
@@ -63,15 +65,52 @@ class TestDiagonalTerms:
         ids=[f"mixed-{seed}" for seed in range(6)] + ["edgeless"],
     )
     def test_equals_per_edge_halves(self, m):
-        # halving each node's sum rounds exactly as halving each edge's term
-        g = PackedGraph(m)
+        # halving each node's sum rounds exactly as halving each edge's term;
+        # d is taken on the prepared tables, the only ones a solver packs
+        g = PackedGraph(prepare_model(m)[0])
         assert g.diagonal_terms().shape == (g.n, g.kmax)
-        assert np.array_equal(g.diagonal_terms(), diagonal_terms_per_edge(g))
+        assert g.diagonal_terms().tobytes() == diagonal_terms_per_edge(g).tobytes()
 
     def test_uses_absolute_values(self):
+        # d is half the |theta| sums of the shifted table, not of the model's own
         t = np.array([[1.0, -3.0], [0.0, 2.0]])
-        m = PairwiseMRF((2, 2), ((0, 1),), (t,))
-        assert np.allclose(diagonal_terms(m)[0], np.abs(t).sum(axis=1) / 2.0)
+        prepared, shift = prepare_model(PairwiseMRF((2, 2), ((0, 1),), (t,)))
+        assert shift == 3.0
+        d = diagonal_terms(prepared)
+        assert np.array_equal(d[0], [2.0, 4.0])  # (t + 3) row sums halved; |t|'s would be [2, 1]
+        assert d.tobytes() == diagonal_terms_per_edge(PackedGraph(prepared)).tobytes()
+
+
+def _signed_zero_model(rng):
+    """A model whose prepared tables keep -0.0 entries: padded cardinalities
+    2..10 with one node at 8 or more (numpy's pairwise row sum), unaries on
+    some nodes, and tables that are mixed-sign, nonnegative with scattered
+    -0.0 entries, or all -0.0."""
+    n = int(rng.integers(2, 8))
+    cards = rng.integers(2, 11, size=n)
+    cards[rng.integers(n)] = rng.integers(8, 11)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if j == i + 1 or rng.random() < 0.4]
+    tables = []
+    for i, j in edges:
+        t, kind = rng.normal(size=(cards[i], cards[j])), rng.random()
+        if kind < 0.25:
+            t = np.full_like(t, -0.0)
+        elif kind < 0.7:
+            t = np.abs(t)
+            t[rng.random(t.shape) < 0.3] = -0.0
+        tables.append(t)
+    unaries = {i: rng.normal(size=cards[i]) for i in range(n) if rng.random() < 0.4}
+    return PairwiseMRF(tuple(int(k) for k in cards), tuple(edges), tuple(tables), unaries)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_diagonal_is_per_edge_abs_halves_on_prepared_tables(seed):
+    # diagonal_terms reads d off theta_hat; the oracle takes np.abs of every table
+    prepared, _ = prepare_model(_signed_zero_model(np.random.default_rng(seed)))
+    assert all(t.min() >= 0.0 for t in prepared.tables)
+    g = PackedGraph(prepared)
+    assert g.diagonal_terms().tobytes() == diagonal_terms_per_edge(g).tobytes()
 
 
 class TestConvexObjective:

@@ -173,3 +173,9 @@ def test_decode_equals_masked_argmax(padded):
     assert np.array_equal(g.decode(np.ascontiguousarray(P.transpose(0, 2, 1)), axis=1), ref)
     assert np.array_equal(g.decode(P.transpose(0, 2, 1), axis=1), ref)
     assert (ref < g.card).all() and (ref == 0).any() and (ref > 0).any()
+
+
+def test_negative_seed_is_rejected():
+    # restart_rng seeds numpy with [seed, restart], which takes no negative entry
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        SolverConfig(seed=-1)
