@@ -23,7 +23,7 @@ import numpy as np
 from . import model
 from .common import SolverConfig, SolveReport, restart_rng, run_restarts
 from .model import PairwiseMRF
-from .packed import PackedGraph, SlotScatter, both_directions
+from .packed import PackedGraph, both_directions
 
 LOG_ZERO = -1e9
 RESTART_NOISE = 0.01  # scale of the uniform noise on restart r > 0's initial messages
@@ -68,7 +68,8 @@ class _MpGraph:
     """Directed-edge stacking of a packed graph for batched max-product sweeps.
 
     A message array has shape (R, kmax, 2|E|) for R restarts.  Column e holds
-    the message src->tgt along edge e, and column |E| + e the message tgt->src.
+    the message src->tgt along edge e, and column |E| + e the message tgt->src;
+    `PackedGraph.scatter`, every solver's, sums them: each node in edge order.
     A sweep gathers the incoming sums at all 2|E| sources at once, less each
     message's reverse (the two halves swapped), and max-plus multiplies each
     half with the one log table, log_tables[k, l, e] = log theta_e(k, l), built
@@ -82,16 +83,12 @@ class _MpGraph:
         np.maximum(graph.tables.transpose(1, 2, 0), 1e-320, out=T)
         np.log(T, out=T)
         T[graph.tables.transpose(1, 2, 0) <= 0.0] = LOG_ZERO
-        dir_tgt = np.concatenate([graph.tgt, graph.src])
-        self.tgt_valid = np.ascontiguousarray(graph.valid[dir_tgt].T)
+        self.tgt_valid = np.ascontiguousarray(graph.valid[np.concatenate([graph.tgt, graph.src])].T)
         self.ragged = not self.tgt_valid.all()
-        # summed in the order np.add.at adds directed edges 2e: src->tgt, 2e+1: tgt->src
-        interleaved = np.concatenate([2 * np.arange(m), 2 * np.arange(m) + 1])
-        self.scatter = SlotScatter(dir_tgt, interleaved, graph.n, graph.kmax)
 
     def incoming(self, M: np.ndarray) -> np.ndarray:
-        """Per-node sums of incoming messages, shape (R, kmax, n)."""
-        return self.scatter.sum(M, axis=-1)
+        """Per-node sums of incoming messages, shape (R, kmax, n), by the graph's one scatter."""
+        return self.graph.scatter.sum(M, axis=-1)
 
     def iterate(self, M: np.ndarray, B: np.ndarray, damping: float) -> np.ndarray:
         """One damped synchronous sweep of every restart; B is incoming(M)."""

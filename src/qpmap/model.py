@@ -175,7 +175,8 @@ def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
     is shifted so its minimum entry is 0.  Both steps work on one stack per
     table shape; a table that needs neither step is reused, not copied.
     Returns the prepared model and the total shift: for every assignment,
-    the original objective equals the prepared one minus the shift.
+    the original objective equals the prepared one minus the shift.  A
+    rewritten table or a total shift that overflows is UnsupportedModelError.
     """
     if not (n := mrf.num_nodes):
         raise UnsupportedModelError("model has no variables")
@@ -196,16 +197,23 @@ def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
     lo[untouched] = np.fromiter(map(np.ndarray.min, compress(mrf.tables, untouched.tolist())), float)
     rewrite = np.flatnonzero(touched | (lo < 0.0))
     pool, pick = list(mrf.tables), np.arange(len(src))  # the tables: pool[pick[e]] for edge e
-    for ki, kj, sub in shape_groups(cards[src[rewrite]], cards[tgt[rewrite]]):
-        idx = rewrite[sub]
-        group, rows, cols = np.array([mrf.tables[e] for e in idx.tolist()]), src[idx], tgt[idx]
-        np.add(group, share[rows, :ki, None], out=group, where=has[rows, None, None])
-        np.add(group, share[cols, None, :kj], out=group, where=has[cols, None, None])
-        lo[idx] = low = group.min(axis=(1, 2))
-        np.subtract(group, low[:, None, None], out=group, where=(low < 0.0)[:, None, None])
-        group.flags.writeable = False
-        pick[idx] = len(pool) + np.arange(len(idx))
-        pool.extend(group)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported, naming its edge
+        for ki, kj, sub in shape_groups(cards[src[rewrite]], cards[tgt[rewrite]]):
+            idx = rewrite[sub]
+            group, rows, cols = np.array([mrf.tables[e] for e in idx.tolist()]), src[idx], tgt[idx]
+            np.add(group, share[rows, :ki, None], out=group, where=has[rows, None, None])
+            np.add(group, share[cols, None, :kj], out=group, where=has[cols, None, None])
+            lo[idx] = low = group.min(axis=(1, 2))
+            np.subtract(group, low[:, None, None], out=group, where=(low < 0.0)[:, None, None])
+            if not np.isfinite(group).all():
+                bad = idx[~np.isfinite(group).all(axis=(1, 2))][0]
+                raise UnsupportedModelError("edge ({},{}): prepared table is not finite".format(*mrf.edges[bad]))
+            group.flags.writeable = False
+            pick[idx] = len(pool) + np.arange(len(idx))
+            pool.extend(group)
+        running = np.cumsum(np.append(0.0, -lo[lo < 0.0]))  # summed in edge order
+    if not np.isfinite(running[-1]):
+        e = np.flatnonzero(lo < 0.0)[np.argmin(np.isfinite(running[1:]))]
+        raise UnsupportedModelError("edge ({},{}): total shift is not finite".format(*mrf.edges[e]))
     tables = tuple(map(pool.__getitem__, pick.tolist()))
-    shift_total = float(np.cumsum(np.append(0.0, -lo[lo < 0.0]))[-1])  # summed in edge order
-    return _trusted(mrf.cardinalities, mrf.edges, tables), shift_total
+    return _trusted(mrf.cardinalities, mrf.edges, tables), float(running[-1])

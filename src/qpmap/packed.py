@@ -9,9 +9,8 @@ graphs (kmax <= 2) also keep a label-major copy of the tables, built on first us
 Per-node reductions over a short label axis are whole-stack operations on
 label slices, not numpy's row-at-a-time loop, and exact: `label_sum` adds
 one slice per label (numpy sums a row shorter than PAIRWISE_BLOCK left to
-right from 0.0; counts, and so `label_any`, are exact in any order), and a
-binary `decode` gives label 1 only where strictly higher (argmax's
-lowest-label tie rule).
+right from 0.0; counts are exact in any order), and a binary `decode`
+gives label 1 only where strictly higher (argmax's lowest-label tie rule).
 
 Tables of PARALLEL_MIN_ENTRIES entries (2 MiB) or more, on a process allowed
 2 or more CPUs, sweep their two message directions at once: the caller takes
@@ -107,10 +106,9 @@ class Diagnostics:
 class SlotScatter:
     """`np.add.at(zeros, targets, X)` along one axis, as a few slice adds.
 
-    Each node adds its entries in ascending `order`, as np.add.at does when
-    `order` is their position in its index array, so the sums are
-    bit-identical.  Node positions are sorted by descending degree, so slot
-    j (every node's j-th entry) fills a prefix of them and takes one slice
+    Each node adds its entries in ascending `order`, bit for bit as np.add.at
+    over them in that order.  Node positions are sorted by descending degree, so
+    slot j (every node's j-th entry) fills a prefix of them and takes one slice
     add.  A slot whose entries times `width` are fewer than MIN_SLOT_ENTRIES
     is left to one np.add.at, slot after slot: its per-entry cost is lower.
     """
@@ -208,8 +206,9 @@ class PackedGraph:
 
     @cached_property
     def scatter(self) -> SlotScatter:
-        """Message scatter in np.add.at's order: all src->tgt, then all tgt->src."""
-        order = np.arange(2 * len(self.src))
+        """Every solver's message scatter over columns e: src->tgt, |E| + e: tgt->src;
+        each node adds its incoming messages in edge order."""
+        order = np.tile(np.arange(len(self.src)), 2)
         return SlotScatter(np.concatenate([self.tgt, self.src]), order, self.n, self.kmax)
 
     @cached_property
@@ -279,11 +278,6 @@ def label_sum(X: np.ndarray) -> np.ndarray:
     return total
 
 
-def label_any(X: np.ndarray) -> np.ndarray:
-    """`X.any(axis=-1)` of a bool stack: a nonzero `label_sum` count below PAIRWISE_BLOCK labels."""
-    return X.any(axis=-1) if X.shape[-1] >= PAIRWISE_BLOCK else label_sum(X) > 0
-
-
 def row_sums(X: np.ndarray) -> float | np.ndarray:
     """Sum of each (n, kmax) matrix of a stack, as the 1-D sum of its C-ordered entries."""
     return X.reshape(X.shape[:-2] + (X.shape[-2] * X.shape[-1],)).sum(axis=-1)
@@ -334,7 +328,7 @@ def clamped_simplex_sweep(
         neg = active & (P < 0.0)
         if not neg.any():
             break
-        passes += label_any(neg)
+        passes += label_sum(neg) > 0
         active &= ~neg
         inv[neg] = 0.0
     if diag is not None:

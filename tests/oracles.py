@@ -440,13 +440,16 @@ def decode_per_node(graph: PackedGraph, P: np.ndarray) -> np.ndarray:
 
 
 def delta_sums_add_at(graph: PackedGraph, P: np.ndarray) -> np.ndarray:
-    """`PackedGraph.delta_sums` by two `np.add.at` scatters, one restart at a time."""
+    """`PackedGraph.delta_sums` by one `np.add.at` over the directed edges
+    (2e: src->tgt, 2e+1: tgt->src, as `mp_incoming`), one restart at a time."""
     if P.ndim == 3:
         return np.stack([delta_sums_add_at(graph, Pr) for Pr in P])
     S = np.zeros_like(P)
     if len(graph.src):
-        np.add.at(S, graph.tgt, np.einsum("ek,ekl->el", P[graph.src], graph.tables))
-        np.add.at(S, graph.src, np.einsum("el,ekl->ek", P[graph.tgt], graph.tables))
+        msgs = np.empty((2 * len(graph.src), graph.kmax))
+        msgs[0::2] = np.einsum("ek,ekl->el", P[graph.src], graph.tables)
+        msgs[1::2] = np.einsum("el,ekl->ek", P[graph.tgt], graph.tables)
+        np.add.at(S, mp_directed_edges(graph)[1], msgs)
     return S
 
 

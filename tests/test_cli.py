@@ -26,6 +26,14 @@ MINIMAL = """MARKOV
 """
 
 
+# each overflows in `prepare_model`: a shifted table, an absorbed unary, the total shift
+OVERFLOW = {
+    "shift": PairwiseMRF((2, 2), ((0, 1),), (np.array([[1e308, -1e308], [0.0, 1.0]]),)),
+    "unary": PairwiseMRF((2, 2), ((0, 1),), (np.array([[1.7e308, 0.0], [0.0, 1.0]]),), {0: np.array([1.7e308, -1.0])}),
+    "total-shift": PairwiseMRF((2, 2, 2), ((0, 1), (1, 2)), (np.array([[0.0, -1e308], [0.0, 0.0]]),) * 2),
+}
+
+
 def write_minimal(tmp_path):
     p = tmp_path / "model.uai"
     p.write_text(MINIMAL)
@@ -144,6 +152,18 @@ class TestSolve:
         err = capsys.readouterr().err
         assert rc == cli.EXIT_DEGENERATE
         assert err == "error: model has no variables\n"
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("name", OVERFLOW)
+    def test_overflowing_model_is_unsupported(self, tmp_path, capsys, solver, name):
+        with pytest.raises(UnsupportedModelError, match="is not finite"):
+            SOLVERS[solver][0](OVERFLOW[name], SolverConfig(restarts=1))
+        p = tmp_path / "overflow.uai"
+        p.write_text(write_uai(OVERFLOW[name]))
+        rc = cli.main(["solve", "--input", str(p), "--solver", solver])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_DEGENERATE and out == ""
+        assert err.startswith("error: edge (") and err.endswith(" is not finite\n") and len(err.splitlines()) == 1
 
     def test_log_transform_rejects_nonpositive(self, tmp_path, capsys):
         path = write_minimal(tmp_path)

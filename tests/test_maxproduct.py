@@ -62,6 +62,14 @@ def hub(leaves, k, seed, ring=False):
     return PairwiseMRF((k,) * (leaves + 1), tuple(edges), tables)
 
 
+def mixed_hub(leaves, seed):
+    """A star around node 0 with label counts 1..5, its leaves joined in a cycle."""
+    rng = np.random.default_rng(seed)
+    card = (5,) + tuple(int(k) for k in rng.integers(1, 6, size=leaves))
+    edges = [(0, v) for v in range(1, leaves + 1)] + [(v, v % leaves + 1) for v in range(1, leaves + 1)]
+    return PairwiseMRF(card, tuple(edges), tuple(rng.uniform(-1.0, 2.0, size=(card[i], card[j])) for i, j in edges))
+
+
 def mixed_cardinality_loopy():
     rng = np.random.default_rng(0)
     card = tuple(int(k) for k in rng.integers(1, 5, size=8))
@@ -108,16 +116,20 @@ class TestMpIteration:
         "m",
         [hub(40, 2, 0), hub(40, 2, 1, ring=True), hub(5, 3, 2, ring=True),
          gen_ising_grid(IsingSpec(10, 10, 1.0, seed=0)), gen_random_mrf(30, 2, 0.2, seed=1),
-         mixed_cardinality_loopy(), PairwiseMRF((2, 3), (), ())],
-        ids=["star", "wheel", "small-wheel", "grid", "random", "mixed", "edgeless"],
+         mixed_cardinality_loopy(), mixed_hub(40, 3), PairwiseMRF((2, 3), (), ())],
+        ids=["star", "wheel", "small-wheel", "grid", "random", "mixed", "mixed-hub", "edgeless"],
     )
     def test_incoming_equals_add_at(self, m):
-        # bit-equal to np.add.at over the interleaved directed edges, whether
-        # a slot is summed on a prefix of nodes or left to the np.add.at tail
+        # the graph's one scatter, bit-equal to np.add.at over the directed
+        # edges 2e: src->tgt, 2e+1: tgt->src, whether a slot is summed on a
+        # prefix of nodes or left to the np.add.at tail
         graph = PackedGraph(m)
         mp = maxproduct._MpGraph(graph)
+        assert not hasattr(mp, "scatter")
         M0 = np.random.default_rng(6).standard_normal((3, 2 * len(m.edges), graph.kmax))
-        got = mp.incoming(mp_stack(M0.transpose(0, 2, 1)))
+        M = mp_stack(M0.transpose(0, 2, 1))
+        got = mp.incoming(M)
+        assert np.array_equal(got, graph.scatter.sum(M, axis=-1))
         for r in range(3):
             assert np.array_equal(got[r].T, mp_incoming(graph, M0[r]))
 

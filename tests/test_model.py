@@ -270,6 +270,25 @@ def test_prepare_model_rejects_no_variables():
         prepare_model(PairwiseMRF((), (), ()))
 
 
+TOWARD_INF = np.array([[0.0, -1e308], [0.0, 0.0]])  # finite when shifted, but its shift is 1e308
+
+
+@pytest.mark.parametrize("m, match", [
+    (PairwiseMRF((2, 2), ((0, 1),), (np.array([[1e308, -1e308], [0.0, 1.0]]),)), r"^edge \(0,1\): prepared table"),
+    (PairwiseMRF((2, 2), ((0, 1),), (np.array([[1.7e308, 0.0], [0.0, 1.0]]),), {0: np.array([1.7e308, -1.0])}),
+     r"^edge \(0,1\): prepared table"),
+    (PairwiseMRF((2, 3, 2), ((0, 1), (1, 2)), (-np.ones((2, 3)), np.array([[1e308, 0.0], [0.0, 0.0], [-1e308, 0.0]]))),
+     r"^edge \(1,2\): prepared table"),
+    (PairwiseMRF((2, 2, 2), ((0, 1), (1, 2)), (TOWARD_INF, TOWARD_INF)), r"^edge \(1,2\): total shift"),
+    (PairwiseMRF((2, 2, 2, 2), ((0, 1), (1, 2), (2, 3)), (-np.eye(2), TOWARD_INF, TOWARD_INF)),
+     r"^edge \(2,3\): total shift"),
+], ids=["shift", "unary", "second-shape", "total-shift", "total-shift-third-edge"])
+def test_prepare_model_rejects_overflow(m, match):
+    # no RuntimeWarning either: pytest turns one into an error
+    with pytest.raises(UnsupportedModelError, match=match + " is not finite$"):
+        prepare_model(m)
+
+
 def _some_nonnegative(t):
     # a table or unary that may need no shift, with a signed zero the shift must keep
     t = np.abs(t)
