@@ -68,25 +68,25 @@ def _tail_steps(P: np.ndarray, S: np.ndarray, P1: np.ndarray, S1: np.ndarray):
 
 
 def _sweep_factory(graph: PackedGraph, gate: float, restarts: int):
-    """Per restart of a stack: plain steps until one gains < `gate` (relative), then line searches."""
+    """Per restart of a stack: plain steps until one gains < `gate` (relative) over
+    the carried objective q, then line searches; a sweep returns P, S and its objective."""
     tail = np.zeros(restarts, dtype=bool)
 
-    def sweep(P, S, live, diag):
+    def sweep(P, S, q, live, diag):
         P1 = _plain_step(graph, P, S, diag)
         S1 = graph.delta_sums(P1)
         q1 = graph.qp_objective(P1, S1)
-        plain = np.nonzero(~tail[live])[0]
-        if len(plain):
-            tail[live[plain]] = relative_change(q1[plain], graph.qp_objective(P[plain], S[plain])) < gate
+        tail[live] |= relative_change(q1, q) < gate
         rows = np.nonzero(tail[live])[0]
         if len(rows):
             moved, X = _tail_steps(P[rows], S[rows], P1[rows], S1[rows])
             if len(moved):
                 # kept only if its objective, evaluated afresh, is no lower
                 rows, SX = rows[moved], graph.delta_sums(X)
-                keep = graph.qp_objective(X, SX) >= q1[rows]
-                P1[rows[keep]], S1[rows[keep]] = X[keep], SX[keep]
-        return P1, S1
+                qX = graph.qp_objective(X, SX)
+                keep = qX >= q1[rows]
+                P1[rows[keep]], S1[rows[keep]], q1[rows[keep]] = X[keep], SX[keep], qX[keep]
+        return P1, S1, q1
 
     return sweep
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import model
 from .model import PairwiseMRF
-from .packed import Diagnostics, PackedGraph
+from .packed import Diagnostics, PackedGraph, row_sums
 
 INIT_MODES = ("uniform", "uniform-perturbed", "random-dirichlet")
 PERTURBATION = 0.01  # scale of the "uniform-perturbed" init's multiplicative noise
@@ -98,31 +98,33 @@ def relative_change(new, old):
 
 
 def relaxation_restarts(graph: PackedGraph, shift: float, config: SolverConfig, sweep: Callable,
-                        convex_objective: Optional[Callable] = None):
+                        d: Optional[np.ndarray] = None):
     """`run_restarts`' start state, step, finish and diagnostics for a
     CCCP-family solver.  Restart r starts from `init_beliefs` drawn with
-    `restart_rng(config, r)`; `sweep(P, S, live, diag)` maps the live
-    restarts' beliefs and messages S to the next ones, and every objective
-    is read off the carried S.  The change is relative, of `convex_objective`
-    if given, else of the bilinear objective; decodes are traced less `shift`."""
+    `restart_rng(config, r)`; `sweep(P, S, q, live, diag)` maps the live restarts'
+    beliefs, messages S and carried objectives q to the next P, S and bilinear
+    objective, to which the stopping objective adds sum(p*(1-p)*d) given the
+    convex diagonal d.  Its change is relative; decodes are traced less `shift`."""
+
+    def objective(P, qp):
+        return qp if d is None else qp + row_sums(P * (1.0 - P) * d)
 
     def step(state, live, diag):
         P, S, prev = state
-        P, S = sweep(P, S, live, diag)
-        qp = graph.qp_objective(P, S)
-        cur = convex_objective(P, S) if convex_objective else qp
+        P, S, qp = sweep(P, S, prev, live, diag)
+        cur = objective(P, qp)
         a = graph.decode(P)
-        columns = (qp, graph.assignment_value(a) - shift) + ((cur,) if convex_objective else ())
+        columns = (qp, graph.assignment_value(a) - shift) + ((cur,) if d is not None else ())
         return (P, S, cur), a, columns, relative_change(cur, prev)
 
     def finish(final, w, finals):
-        P, _, objective = final
-        return graph.unpack_beliefs(P[w]), objective.tolist()
+        P, _, q = final
+        return graph.unpack_beliefs(P[w]), q.tolist()
 
     P = np.stack([init_beliefs(graph, config, restart_rng(config, r)) for r in range(config.restarts)])
     S = graph.delta_sums(P)
     diag = Diagnostics() if config.collect_diagnostics else None
-    return (P, S, (convex_objective or graph.qp_objective)(P, S)), step, finish, diag
+    return (P, S, objective(P, graph.qp_objective(P, S))), step, finish, diag
 
 
 def run_restarts(original: PairwiseMRF, config: SolverConfig, state: Tuple[np.ndarray, ...],

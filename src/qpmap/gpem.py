@@ -31,7 +31,7 @@ class _Sweep:
     def __init__(self, graph: PackedGraph):
         self.graph, self.underflows = graph, 0
 
-    def __call__(self, P, S, live, diag):
+    def __call__(self, P, S, q, live, diag):
         numer = P * S
         C = label_sum(numer)
         if np.any(C <= 0.0):
@@ -39,7 +39,8 @@ class _Sweep:
             raise DegenerateNodeError(node, "zero total incoming weight (C = 0)")
         new = numer / C[..., None]
         self.underflows += int(np.count_nonzero(self.graph.valid & (P > 0.0) & (new <= UNDERFLOW_FLOOR)))
-        return new, self.graph.delta_sums(new)
+        S = self.graph.delta_sums(new)
+        return new, S, self.graph.qp_objective(new, S)
 
 
 def solve_gp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None) -> SolveReport:

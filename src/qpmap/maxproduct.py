@@ -86,12 +86,8 @@ class _MpGraph:
         self.tgt_valid = np.ascontiguousarray(graph.valid[np.concatenate([graph.tgt, graph.src])].T)
         self.ragged = not self.tgt_valid.all()
 
-    def incoming(self, M: np.ndarray) -> np.ndarray:
-        """Per-node sums of incoming messages, shape (R, kmax, n), by the graph's one scatter."""
-        return self.graph.scatter.sum(M, axis=-1)
-
     def iterate(self, M: np.ndarray, B: np.ndarray, damping: float) -> np.ndarray:
-        """One damped synchronous sweep of every restart; B is incoming(M)."""
+        """One damped synchronous sweep of every restart; B is `graph.scatter.sum(M, axis=-1)`."""
         m = self.m
         X = np.take(B, self.graph.ends, axis=-1)
         X -= np.concatenate([M[..., m:], M[..., :m]], axis=-1)  # each message's reverse
@@ -138,7 +134,7 @@ def solve_mp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None,
         M, B, best_a, best_val = state
         new = mp.iterate(M, B, damping)
         change = mp.max_change(new, M)
-        B = mp.incoming(new)
+        B = graph.scatter.sum(new, axis=-1)
         a = graph.decode(B, axis=1)
         vals = graph.assignment_value(a) - shift
         better = vals > best_val
@@ -157,5 +153,5 @@ def solve_mp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None,
     for r in range(1, R):
         noise = restart_rng(config, r).random((mp.m, 2, graph.kmax))
         M[r] = RESTART_NOISE * noise.transpose(2, 1, 0).reshape(graph.kmax, 2 * mp.m)
-    start = (M, mp.incoming(M), np.zeros((R, graph.n), dtype=np.intp), np.full(R, -np.inf))
+    start = (M, graph.scatter.sum(M, axis=-1), np.zeros((R, graph.n), dtype=np.intp), np.full(R, -np.inf))
     return run_restarts(mrf, config, start, step, finish)

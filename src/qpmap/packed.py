@@ -35,7 +35,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import model
-from .model import DegenerateNodeError, PairwiseMRF
+from .model import DegenerateNodeError, PairwiseMRF, UnsupportedModelError
 
 log = logging.getLogger(__name__)
 
@@ -170,8 +170,12 @@ class PackedGraph:
 
         # theta_hat(x_i) = sum over neighbors j, labels x_j of theta_ij(x_i, x_j)
         self.theta_hat = np.zeros((n, kmax))
-        np.add.at(self.theta_hat, self.src, self.tables.sum(axis=2))
-        np.add.at(self.theta_hat, self.tgt, self.tables.sum(axis=1))
+        with np.errstate(over="ignore"):  # finite tables can still sum past the largest float
+            np.add.at(self.theta_hat, self.src, self.tables.sum(axis=2))
+            np.add.at(self.theta_hat, self.tgt, self.tables.sum(axis=1))
+        bad = np.nonzero(~np.isfinite(self.theta_hat).all(axis=1))[0]
+        if len(bad):
+            raise UnsupportedModelError(f"node {bad[0]}: the sum of its tables is not finite")
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
         self.parallel = self.tables.size >= PARALLEL_MIN_ENTRIES and len(cpus) >= 2
 

@@ -155,7 +155,7 @@ def test_criterion_06_em_equivalence():
         P = pack_beliefs(g, beliefs)
         S = g.delta_sums(P)
         for _ in range(4):
-            P, S = sweep(P, S, None, None)
+            P, S, _ = sweep(P, S, None, None, None)
             beliefs = em_multiplicative_update(prepared, beliefs)
             for i, ref in enumerate(beliefs):
                 worst = max(worst, float(np.abs(P[i, : len(ref)] - ref).max()))

@@ -313,9 +313,10 @@ class TestTailStep:
         assert g.qp_objective(P[0]) < g.qp_objective(P1[0])
         assert g.qp_objective(P1[1]) <= g.qp_objective(P2[1])
         monkeypatch.setattr(cccp, "_tail_steps", lambda *_: (np.arange(2), np.stack([P[0], P2[1]])))
-        out, S_out = cccp._sweep_factory(g, np.inf, 2)(P, S, np.arange(2), None)
+        out, S_out, q_out = cccp._sweep_factory(g, np.inf, 2)(P, S, g.qp_objective(P, S), np.arange(2), None)
         assert np.array_equal(out, np.stack([P1[0], P2[1]]))
         assert np.array_equal(S_out, g.delta_sums(out))
+        assert np.array_equal(q_out, g.qp_objective(out))
 
     def test_zero_tolerance_never_opens_gate(self):
         m = gen_random_mrf(8, 3, seed=5)

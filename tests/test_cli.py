@@ -165,6 +165,19 @@ class TestSolve:
         assert rc == cli.EXIT_DEGENERATE and out == ""
         assert err.startswith("error: edge (") and err.endswith(" is not finite\n") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_overflowing_node_sum_is_unsupported(self, tmp_path, capsys, solver):
+        # the chain passes prepare_model, and node 1's theta_hat overflows in PackedGraph
+        chain = PairwiseMRF((2, 2, 2), ((0, 1), (1, 2)), (np.array([[1e308, 0.0], [0.0, 1e308]]),) * 2)
+        with pytest.raises(UnsupportedModelError, match="^node 1: the sum of its tables is not finite$"):
+            SOLVERS[solver][0](chain, SolverConfig(restarts=1, max_outer_iterations=5))
+        p = tmp_path / "chain.uai"
+        p.write_text(write_uai(chain))
+        rc = cli.main(["solve", "--input", str(p), "--solver", solver, "--max-iters", "5"])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_DEGENERATE and out == ""
+        assert err == "error: node 1: the sum of its tables is not finite\n"
+
     def test_log_transform_rejects_nonpositive(self, tmp_path, capsys):
         path = write_minimal(tmp_path)
         rc = cli.main(["solve", "--input", path, "--log-transform"])

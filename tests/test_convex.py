@@ -9,7 +9,7 @@ from qpmap import convex
 from qpmap.common import SolverConfig, init_beliefs, restart_rng
 from qpmap.generators import gen_random_mrf
 from qpmap.model import DegenerateNodeError, PairwiseMRF, evaluate_assignment, prepare_model
-from qpmap.packed import PackedGraph, clamped_simplex_sweep
+from qpmap.packed import PackedGraph, clamped_simplex_sweep, row_sums
 from oracles import (
     convex_relaxation_objective,
     diagonal_terms_per_edge,
@@ -35,7 +35,8 @@ def diagonal_terms(m):
 def convex_objective(m, beliefs):
     """The relaxed objective as `solve_convex` evaluates it."""
     g = PackedGraph(m)
-    return convex._packed_convex_objective(g, g.diagonal_terms(), pack_beliefs(g, beliefs))
+    P = pack_beliefs(g, beliefs)
+    return g.qp_objective(P) + row_sums(P * (1.0 - P) * g.diagonal_terms())
 
 
 def qp_objective(m, beliefs):
@@ -231,7 +232,7 @@ class TestSolveConvex:
         for _ in range(config.max_outer_iterations):
             P = clamped_simplex_sweep(P * g.theta_hat + g.delta_sums(P) + d, denom, g.valid)
             qp.append(g.qp_objective(P))
-            relaxed.append(convex._packed_convex_objective(g, d, P))
+            relaxed.append(g.qp_objective(P) + row_sums(P * (1.0 - P) * d))
         assert [t.qp_objective for t in rep.trace] == qp
         assert [t.convex_objective for t in rep.trace] == relaxed
         assert rep.restarts_final_objective == [relaxed[-1]]

@@ -21,7 +21,7 @@ def gp_sweep(m, P):
     """One GP-EM sweep as `solve_gp` runs it."""
     g = PackedGraph(m)
     P = np.asarray(P, dtype=float)
-    return gpem._Sweep(g)(P, g.delta_sums(P), None, None)[0]
+    return gpem._Sweep(g)(P, g.delta_sums(P), None, None, None)[0]
 
 
 class TestGpUpdate:
@@ -108,7 +108,7 @@ def test_trace_reads_the_iterated_step():
     P = init_beliefs(g, config, restart_rng(config, 0))
     expected = []
     for _ in range(config.max_outer_iterations):
-        P = sweep(P, g.delta_sums(P), None, None)[0]
+        P = sweep(P, g.delta_sums(P), None, None, None)[0]
         expected.append(g.qp_objective(P))
     assert [t.qp_objective for t in rep.trace] == expected
     assert rep.restarts_final_objective == [expected[-1]]
@@ -126,7 +126,7 @@ def test_matches_reference_em_update():
         P = pack_beliefs(g, beliefs)
         S = g.delta_sums(P)
         for _ in range(5):
-            P, S = sweep(P, S, None, None)
+            P, S, _ = sweep(P, S, None, None, None)
             beliefs = em_multiplicative_update(prepared, beliefs)
             for i, ref in enumerate(beliefs):
                 assert np.allclose(P[i, : len(ref)], ref, atol=1e-12)
@@ -149,7 +149,7 @@ def test_underflow_logged_once_per_solve(caplog):
         S = g.delta_sums(P)
         prev = g.qp_objective(P, S)
         for _ in range(config.max_outer_iterations):
-            P, S = sweep(P, S, None, None)
+            P, S, _ = sweep(P, S, None, None, None)
             cur = g.qp_objective(P, S)
             if abs(cur - prev) / max(1.0, abs(cur)) < config.objective_tolerance:
                 break

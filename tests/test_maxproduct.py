@@ -49,7 +49,7 @@ def sweep(m, messages, damping):
     """
     mp = maxproduct._MpGraph(PackedGraph(m))
     M = mp_stack(messages.T[None])
-    return mp.iterate(M, mp.incoming(M), damping)[0]
+    return mp.iterate(M, mp.graph.scatter.sum(M, axis=-1), damping)[0]
 
 
 def hub(leaves, k, seed, ring=False):
@@ -124,12 +124,9 @@ class TestMpIteration:
         # edges 2e: src->tgt, 2e+1: tgt->src, whether a slot is summed on a
         # prefix of nodes or left to the np.add.at tail
         graph = PackedGraph(m)
-        mp = maxproduct._MpGraph(graph)
-        assert not hasattr(mp, "scatter")
+        assert not hasattr(maxproduct._MpGraph(graph), "scatter")
         M0 = np.random.default_rng(6).standard_normal((3, 2 * len(m.edges), graph.kmax))
-        M = mp_stack(M0.transpose(0, 2, 1))
-        got = mp.incoming(M)
-        assert np.array_equal(got, graph.scatter.sum(M, axis=-1))
+        got = graph.scatter.sum(mp_stack(M0.transpose(0, 2, 1)), axis=-1)
         for r in range(3):
             assert np.array_equal(got[r].T, mp_incoming(graph, M0[r]))
 

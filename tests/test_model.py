@@ -289,6 +289,18 @@ def test_prepare_model_rejects_overflow(m, match):
         prepare_model(m)
 
 
+# finite, nonnegative tables that need no shift, but node 1's two sum past the largest float
+SUM_OVERFLOW = PairwiseMRF((2, 2, 2), ((0, 1), (1, 2)), (np.array([[1e308, 0.0], [0.0, 1e308]]),) * 2)
+
+
+def test_packed_graph_rejects_overflowing_theta_hat():
+    prepared, shift = prepare_model(SUM_OVERFLOW)
+    assert shift == 0.0 and all(np.array_equal(a, b) for a, b in zip(prepared.tables, SUM_OVERFLOW.tables))
+    # no RuntimeWarning on the way: pytest turns one into an error
+    with pytest.raises(UnsupportedModelError, match=r"^node 1: the sum of its tables is not finite$"):
+        PackedGraph(prepared)
+
+
 def _some_nonnegative(t):
     # a table or unary that may need no shift, with a signed zero the shift must keep
     t = np.abs(t)

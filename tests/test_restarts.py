@@ -89,6 +89,18 @@ class TestBatchedRestarts:
             assert_same_report(solve(m, config), restarts_reference(solver, m, config))
 
 
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_one_bilinear_objective_per_sweep(monkeypatch, solver):
+    # at tolerance 0 no restart stops early and CCCP's tail gate never opens:
+    # the start stack's objectives take one call, then each sweep of the stack one
+    calls, qp_objective = [], PackedGraph.qp_objective
+    monkeypatch.setattr(PackedGraph, "qp_objective", lambda *a, **kw: calls.append(1) or qp_objective(*a, **kw))
+    config = SolverConfig(restarts=3, seed=2, max_outer_iterations=25, objective_tolerance=0.0)
+    rep = SOLVERS[solver](gen_random_mrf(10, 3, 0.5, seed=1), config)
+    assert rep.restarts_converged == [False] * config.restarts
+    assert len(calls) == config.max_outer_iterations + 1
+
+
 class TestBatchedRestartsThreaded(TestBatchedRestarts):
     """The same reports when every model sends one message direction to the worker."""
 
