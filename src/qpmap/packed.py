@@ -12,6 +12,10 @@ one slice per label (numpy sums a row shorter than PAIRWISE_BLOCK left to
 right from 0.0; counts are exact in any order), and a binary `decode`
 gives label 1 only where strictly higher (argmax's lowest-label tie rule).
 
+A binary clamped update without Diagnostics is the clamping loop's result,
+bit for bit, from one pass: two labels end the loop in its second pass, and
+that pass's result is known (`clamped_simplex_sweep`).
+
 Tables of PARALLEL_MIN_ENTRIES entries (2 MiB) or more, on a process allowed
 2 or more CPUs, sweep their two message directions at once: the caller takes
 src->tgt, one worker thread tgt->src, in `delta_sums` (kmax >= 3) and, from
@@ -170,12 +174,19 @@ class PackedGraph:
 
         # theta_hat(x_i) = sum over neighbors j, labels x_j of theta_ij(x_i, x_j)
         self.theta_hat = np.zeros((n, kmax))
-        with np.errstate(over="ignore"):  # finite tables can still sum past the largest float
+        with np.errstate(over="ignore"):
             np.add.at(self.theta_hat, self.src, self.tables.sum(axis=2))
             np.add.at(self.theta_hat, self.tgt, self.tables.sum(axis=1))
-        bad = np.nonzero(~np.isfinite(self.theta_hat).all(axis=1))[0]
-        if len(bad):
-            raise UnsupportedModelError(f"node {bad[0]}: the sum of its tables is not finite")
+            # finite tables can still sum past the largest float, and so can the solvers' sums:
+            # 2.5*theta_hat bounds every gradient, the sum of all theta_hat every objective
+            high, running = 2.5 * self.theta_hat, np.cumsum(self.theta_hat)
+        # high is finite only where theta_hat is, and a running sum never returns to finite
+        if not (np.isfinite(high).all() and np.isfinite(running[-1:]).all()):
+            sums = np.stack((self.theta_hat, high, running.reshape(n, kmax)))
+            check, node, _ = np.nonzero(~np.isfinite(sums))  # by check, then node
+            what = ("the sum of its tables", "2.5 times the sum of its tables",
+                    "the sum of its and all earlier nodes' tables")
+            raise UnsupportedModelError(f"node {node[0]}: {what[check[0]]} is not finite")
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
         self.parallel = self.tables.size >= PARALLEL_MIN_ENTRIES and len(cpus) >= 2
 
@@ -300,7 +311,15 @@ def clamped_simplex_sweep(
     excluded before recomputing lam, repeating until all entries are
     nonnegative.  Terminates within kmax passes.  A stack of (n, kmax)
     gradients shares one (n, kmax) denom and valid mask.
+
+    A binary stack (kmax = 2) without `diag` gets the loop's result, bit for
+    bit, from its first pass alone (`_binary_sweep`): with two labels a
+    second pass only sets the one label a clamp leaves active to exactly 1.0,
+    so its result is written down, not computed.  kmax >= 3 and every call
+    that collects Diagnostics run the loop.
     """
+    if grad.shape[-1] == 2 and diag is None:
+        return _binary_sweep(grad, denom, valid)
     rows = grad.shape[:-1]
     active = np.broadcast_to(valid, grad.shape).copy()
     safe_denom = np.where(valid, denom, 1.0)
@@ -347,4 +366,28 @@ def clamped_simplex_sweep(
         if off.any():
             mu = (lam[..., None] - grad)[off]
             diag.min_clamped_multiplier = min(diag.min_clamped_multiplier, float(mu.min()))
+    return P
+
+
+def _binary_sweep(grad: np.ndarray, denom: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """`clamped_simplex_sweep` of a binary stack: the loop's first pass, its operations
+    in its order but a label slice at a time (whole-stack calls that broadcast along
+    the label axis are slower), then its end.  A one-label node reads (1, 0); a
+    two-label node that clamps keeps 1.0 on its other label, or (0, 0) where both
+    went negative (grad/denom past about 2^53, which no solver forms)."""
+    padded = not valid.all()
+    safe_denom = np.where(valid, denom, 1.0) if padded else denom
+    inv = np.where(valid, 1.0 / safe_denom, 0.0) if padded else 1.0 / denom
+    gi = grad * inv  # label_sum's final + 0.0 only counts in the denominator: -0.0 - 1.0 == -1.0
+    lam = (gi[..., 0] + gi[..., 1] - 1.0) / (inv[..., 0] + inv[..., 1] + 0.0)
+    P = np.empty_like(grad)
+    np.subtract(grad[..., 0], lam, out=P[..., 0])
+    np.subtract(grad[..., 1], lam, out=P[..., 1])
+    P /= safe_denom
+    if padded:  # the loop's zeros at padded labels, and (1, 0) on one-label nodes
+        np.copyto(P, valid, where=~(valid[..., :1] & valid[..., 1:]))
+    neg0, neg1 = P[..., 0] < 0.0, P[..., 1] < 0.0
+    clamped = neg0 | neg1
+    np.copyto(P[..., 0], ~neg0, where=clamped)
+    np.copyto(P[..., 1], ~neg1, where=clamped)
     return P

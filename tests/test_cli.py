@@ -178,6 +178,36 @@ class TestSolve:
         assert rc == cli.EXIT_DEGENERATE and out == ""
         assert err == "error: node 1: the sum of its tables is not finite\n"
 
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("text, message", [
+        # node 0's theta_hat (9e307, 1e307) is finite, convex's 2*d + theta_hat is not
+        ("MARKOV\n2\n2 2\n1\n2 0 1\n\n4\n9e307 0 0 1e307\n", "node 0: 2.5 times the sum of its tables"),
+        # every node's 2.5*theta_hat is finite, and their sum is not from node 2 on
+        ("MARKOV\n4\n2 2 2 2\n2\n2 0 1\n2 2 3\n\n4\n6e307 0 0 0\n\n4\n6e307 0 0 0\n",
+         "node 2: the sum of its and all earlier nodes' tables"),
+    ], ids=["node", "total"])
+    def test_overflowing_solver_sum_is_unsupported(self, tmp_path, capsys, solver, text, message):
+        with pytest.raises(UnsupportedModelError, match=f"^{message} is not finite$"):
+            SOLVERS[solver][0](parse_uai(text), SolverConfig(restarts=1, max_outer_iterations=5))
+        p = tmp_path / "overflow.uai"
+        p.write_text(text)
+        rc = cli.main(["solve", "--input", str(p), "--solver", solver, "--max-iters", "5"])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_DEGENERATE and out == ""
+        assert err == f"error: {message} is not finite\n"
+
+    def test_overflowing_solver_sum_exits_3_under_warnings_as_errors(self, tmp_path):
+        p = tmp_path / "overflow.uai"
+        p.write_text("MARKOV\n2\n2 2\n1\n2 0 1\n\n4\n9e307 0 0 1e307\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(qpmap.__file__).parents[1])}
+        for solver in SOLVERS:
+            run = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "qpmap.cli", "solve", "--input", str(p), "--solver", solver,
+                 "--max-iters", "5"], capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (run.returncode, run.stdout) == (cli.EXIT_DEGENERATE, "")
+            assert run.stderr == "error: node 0: 2.5 times the sum of its tables is not finite\n"
+
     def test_log_transform_rejects_nonpositive(self, tmp_path, capsys):
         path = write_minimal(tmp_path)
         rc = cli.main(["solve", "--input", path, "--log-transform"])

@@ -301,6 +301,21 @@ def test_packed_graph_rejects_overflowing_theta_hat():
         PackedGraph(prepared)
 
 
+# finite theta_hat, but sums the solvers form overflow: node 0's 2.5*theta_hat (convex's
+# gradient bound), and, with every node's 2.5*theta_hat finite, the sum of all theta_hat
+@pytest.mark.parametrize("m, match", [
+    (PairwiseMRF((2, 2), ((0, 1),), (np.array([[9e307, 0.0], [0.0, 1e307]]),)),
+     r"^node 0: 2.5 times the sum of its tables is not finite$"),
+    (PairwiseMRF((2, 2, 2, 2), ((0, 1), (2, 3)), (np.array([[6e307, 0.0], [0.0, 0.0]]),) * 2),
+     r"^node 2: the sum of its and all earlier nodes' tables is not finite$"),
+], ids=["node", "total"])
+def test_packed_graph_rejects_overflowing_solver_sums(m, match):
+    prepared, shift = prepare_model(m)
+    assert shift == 0.0 and all(np.array_equal(a, b) for a, b in zip(prepared.tables, m.tables))
+    with pytest.raises(UnsupportedModelError, match=match):
+        PackedGraph(prepared)
+
+
 def _some_nonnegative(t):
     # a table or unary that may need no shift, with a signed zero the shift must keep
     t = np.abs(t)

@@ -1,5 +1,6 @@
 """Short label axes: `label_sum` and `PackedGraph.decode` against numpy's own
-reductions, and the clamped simplex sweep against its axis-reduction reference.  The two
+reductions, and the clamped simplex sweep, its binary closed form included, against its
+axis-reduction reference and inside whole solves.  The two
 message directions on two threads: when the worker is used, and that its results and
 errors are the serial path's."""
 
@@ -116,6 +117,95 @@ def test_sweep_equals_axis_reduction_reference(k, diagnose):
         clamped_simplex_sweep_reference(grad, denom, valid, passes)
     # the stacks cover padded rows, single-label rows and rows clamped on several passes
     assert max(passes.inner_pass_hist) >= min(k, 3)
+
+
+def binary_stack(rng: np.random.Generator):
+    """An (R, n, 2) gradient stack with one-label nodes, +-0.0, exact ties, near-ties
+    (a few ulps apart) and all-zero gradients, at grad/denom ratios 1e-300..1e300.
+    Near-ties past about 2^53 take both labels negative on some nodes."""
+    R, n = int(rng.integers(1, 4)), int(rng.integers(1, 40))
+    valid = np.arange(2) < rng.integers(1, 3, size=n)[:, None]
+    grad = 10.0 ** rng.uniform(-300.0, 300.0, size=(n, 1)) * rng.normal(size=(R, n, 2))
+    ulps = rng.choice([0.0, 0.0, 1.0, -2.0, 3.0], size=(R, n)) * 2.0**-52
+    grad[..., 1] = np.where(rng.random((R, n)) < 0.4, grad[..., 0] * (1.0 + ulps), grad[..., 1])
+    grad = np.where(rng.random(grad.shape) < 0.1, rng.choice([0.0, -0.0], grad.shape), grad)
+    grad[:, rng.random(n) < 0.1] = 0.0
+    denom = np.where(valid, rng.choice([1.0, 0.5, 3.0, rng.uniform(0.2, 5.0)], size=(n, 2)), 0.0)
+    return grad, denom, valid
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(SEEDS)
+def test_binary_closed_form_equals_reference(seed):
+    rng = np.random.default_rng(seed)
+    grad, denom, valid = binary_stack(rng)
+    for g in (grad, grad[0], np.zeros_like(grad)):
+        P = clamped_simplex_sweep(g, denom, valid)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the loop's pass on a node with no label left
+            assert same_bits(P, clamped_simplex_sweep_reference(g, denom, valid))
+
+
+def test_binary_stacks_reach_every_case():
+    # the loop's first candidate, by its own operations: clamped on label 0, on label 1, on both
+    clamped = set()
+    for seed in range(300):
+        grad, denom, valid = binary_stack(np.random.default_rng(seed))
+        safe = np.where(valid, denom, 1.0)
+        inv = np.where(valid, 1.0 / safe, 0.0)
+        lam = (label_sum(grad * inv) - 1.0) / label_sum(inv)
+        neg = valid.all(axis=-1, keepdims=True) & ((grad - lam[..., None]) / safe < 0.0)
+        clamped |= {tuple(row) for row in neg.reshape(-1, 2).tolist()}
+    assert clamped == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_binary_call_without_diagnostics_skips_the_loop(monkeypatch):
+    def loop_only(X):
+        raise AssertionError("the clamping loop ran")
+
+    stacks = {k: sweep_stack(np.random.default_rng(k), k) for k in (2, 3)}
+    want = clamped_simplex_sweep_reference(*stacks[2])
+    monkeypatch.setattr(packed, "label_sum", loop_only)
+    assert same_bits(clamped_simplex_sweep(*stacks[2]), want)
+    # the loop still runs with Diagnostics, and from three labels on
+    for args in (stacks[2] + (Diagnostics(),), stacks[3]):
+        with pytest.raises(AssertionError, match="the clamping loop ran"):
+            clamped_simplex_sweep(*args)
+
+
+def report_bytes(x) -> bytes:
+    """Every field of a SolveReport but `diagnostics` and `wall_time_s`, as bytes."""
+    if dataclasses.is_dataclass(x):
+        return b"".join(f.name.encode() + report_bytes(getattr(x, f.name)) for f in dataclasses.fields(x)
+                        if f.name not in ("diagnostics", "wall_time_s"))
+    if isinstance(x, list):
+        return b"[" + b"".join(map(report_bytes, x)) + b"]"
+    if isinstance(x, np.ndarray):
+        return repr((x.dtype, x.shape)).encode() + x.tobytes()
+    return (x.hex() if isinstance(x, float) else repr(x)).encode()
+
+
+def padded_binary_mrf() -> PairwiseMRF:
+    """A 6x6 grid of one- and two-label nodes, mixed-sign tables, unaries on every third node."""
+    rng = np.random.default_rng(3)
+    cards = tuple(int(k) for k in rng.choice([1, 2], 36, p=[0.2, 0.8]))
+    edges = tuple([(i, i + 1) for i in range(36) if i % 6 < 5] + [(i, i + 6) for i in range(30)])
+    tables = tuple(rng.normal(size=(cards[i], cards[j])) for i, j in edges)
+    return PairwiseMRF(cards, edges, tables, {i: rng.normal(size=cards[i]) for i in range(0, 36, 3)})
+
+
+@pytest.mark.parametrize("mrf, config", [
+    pytest.param(gen_ising_grid(IsingSpec(10, 10, 1.0, seed=3)), SolverConfig(restarts=10, seed=5), id="ising-10x10"),
+    pytest.param(qpmap.parse_uai(write_uai(gen_ising_grid(IsingSpec(50, 50, 1.0, seed=4)))), SolverConfig(restarts=1),
+                 id="uai-50x50"),
+    pytest.param(padded_binary_mrf(), SolverConfig(restarts=5, seed=1), id="padded-binary"),
+])
+@pytest.mark.parametrize("solve", [cccp.solve, qpmap.solve_convex], ids=["cccp", "convex"])
+def test_closed_form_and_loop_solve_alike(solve, mrf, config):
+    # collecting Diagnostics runs the loop; without them a binary sweep takes the closed form
+    looped = solve(mrf, dataclasses.replace(config, collect_diagnostics=True))
+    closed = solve(mrf, config)
+    assert looped.diagnostics is not None and closed.diagnostics is None
+    assert report_bytes(closed) == report_bytes(looped)
 
 
 # -- the two message directions on two threads ---------------------------------
