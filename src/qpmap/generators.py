@@ -29,8 +29,10 @@ class IsingSpec:
             raise ValueError("rows and cols must be >= 1")
         if not 0 < self.beta < np.inf:
             raise ValueError("beta must be finite and > 0")
-        if not np.isfinite(self.node_potential_bound):
-            raise ValueError("node_potential_bound must be finite")
+        if not np.isfinite(self.node_potential_bound) or np.signbit(self.node_potential_bound):
+            raise ValueError(f"node_potential_bound must be finite and >= 0, got {self.node_potential_bound}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def gen_ising_grid(spec: IsingSpec) -> PairwiseMRF:
@@ -77,8 +79,10 @@ def gen_random_mrf(
         raise ValueError("need n >= 2 and k >= 2")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
-    if not np.isfinite(potential_scale):
-        raise ValueError("potential_scale must be finite")
+    if not np.isfinite(potential_scale) or np.signbit(potential_scale):  # uniform(0.0, -0.0) fails too
+        raise ValueError(f"potential_scale must be finite and >= 0, got {potential_scale}")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     edges: List[Tuple[int, int]] = []
     tree = set()

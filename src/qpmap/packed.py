@@ -12,8 +12,8 @@ one slice per label (numpy sums a row shorter than PAIRWISE_BLOCK left to
 right from 0.0; counts are exact in any order), and a binary `decode`
 gives label 1 only where strictly higher (argmax's lowest-label tie rule).
 
-A binary clamped update without Diagnostics is the clamping loop's result,
-bit for bit, from one pass: two labels end the loop in its second pass, and
+A binary clamped update is the clamping loop's result, bit for bit, from one
+pass, Diagnostics included: two labels end the loop in its second pass, and
 that pass's result is known (`clamped_simplex_sweep`).
 
 Tables of PARALLEL_MIN_ENTRIES entries (2 MiB) or more, on a process allowed
@@ -100,11 +100,25 @@ class Diagnostics:
     max_stationarity_residual: float = 0.0
     min_clamped_multiplier: float = math.inf
 
-    def record_passes(self, passes: np.ndarray) -> None:
+    def check_multipliers(self, changed: np.ndarray, lam: np.ndarray, lam_prev: np.ndarray) -> None:
+        """Count, and log, the `changed` nodes whose multiplier fell from lam_prev to lam."""
+        viol = changed & (lam < lam_prev - 1e-12)
+        if viol.any():
+            self.multiplier_violations += int(viol.sum())
+            log.warning("normalization multiplier decreased across inner passes on %d node(s); "
+                        "worst drop %.3e", int(viol.sum()), float((lam_prev - lam)[viol].max()))
+
+    def certify(self, P, grad, denom, valid, lam, passes) -> None:
+        """Record a clamped update's passes, KKT stationarity residual and least clamped multiplier."""
         self.max_inner_passes = max(self.max_inner_passes, int(passes.max(initial=0)))
-        vals, counts = np.unique(passes, return_counts=True)
-        for v, c in zip(vals, counts):
-            self.inner_pass_hist[int(v)] = self.inner_pass_hist.get(int(v), 0) + int(c)
+        counts = np.bincount(passes.ravel())
+        for v in np.flatnonzero(counts).tolist():
+            self.inner_pass_hist[v] = self.inner_pass_hist.get(v, 0) + int(counts[v])
+        on = valid & (P > 0.0)
+        resid = np.abs(denom * P - grad + lam[..., None])[on]
+        self.max_stationarity_residual = max(self.max_stationarity_residual, float(resid.max(initial=0.0)))
+        mu = (lam[..., None] - grad)[valid & ~on]
+        self.min_clamped_multiplier = min(self.min_clamped_multiplier, float(mu.min(initial=math.inf)))
 
 
 class SlotScatter:
@@ -312,14 +326,14 @@ def clamped_simplex_sweep(
     nonnegative.  Terminates within kmax passes.  A stack of (n, kmax)
     gradients shares one (n, kmax) denom and valid mask.
 
-    A binary stack (kmax = 2) without `diag` gets the loop's result, bit for
-    bit, from its first pass alone (`_binary_sweep`): with two labels a
-    second pass only sets the one label a clamp leaves active to exactly 1.0,
-    so its result is written down, not computed.  kmax >= 3 and every call
-    that collects Diagnostics run the loop.
+    A binary stack (kmax = 2) gets the loop's result, bit for bit, from its
+    first pass alone (`_binary_sweep`): with two labels a second pass only
+    sets the one label a clamp leaves active to exactly 1.0, so its result
+    and its certificate are written down, not computed.  kmax >= 3 runs the
+    loop; collecting Diagnostics never changes which update runs.
     """
-    if grad.shape[-1] == 2 and diag is None:
-        return _binary_sweep(grad, denom, valid)
+    if grad.shape[-1] == 2:
+        return _binary_sweep(grad, denom, valid, diag)
     rows = grad.shape[:-1]
     active = np.broadcast_to(valid, grad.shape).copy()
     safe_denom = np.where(valid, denom, 1.0)
@@ -336,17 +350,7 @@ def clamped_simplex_sweep(
         if single.any():
             P[single] = np.where(active[single], 1.0, 0.0)
         if diag is not None:
-            changed = passes > 1
-            if changed.any():
-                viol = changed & (lam < lam_prev - 1e-12)
-                if viol.any():
-                    diag.multiplier_violations += int(viol.sum())
-                    log.warning(
-                        "normalization multiplier decreased across inner passes "
-                        "on %d node(s); worst drop %.3e",
-                        int(viol.sum()),
-                        float((lam_prev - lam)[viol].max()),
-                    )
+            diag.check_multipliers(passes > 1, lam, lam_prev)
             lam_prev = lam
         neg = active & (P < 0.0)
         if not neg.any():
@@ -355,26 +359,18 @@ def clamped_simplex_sweep(
         active &= ~neg
         inv[neg] = 0.0
     if diag is not None:
-        diag.record_passes(passes)
-        on = valid & (P > 0.0)
-        resid = np.abs(denom * P - grad + lam[..., None])
-        if on.any():
-            diag.max_stationarity_residual = max(
-                diag.max_stationarity_residual, float(resid[on].max())
-            )
-        off = valid & ~on
-        if off.any():
-            mu = (lam[..., None] - grad)[off]
-            diag.min_clamped_multiplier = min(diag.min_clamped_multiplier, float(mu.min()))
+        diag.certify(P, grad, denom, valid, lam, passes)
     return P
 
 
-def _binary_sweep(grad: np.ndarray, denom: np.ndarray, valid: np.ndarray) -> np.ndarray:
+def _binary_sweep(grad: np.ndarray, denom: np.ndarray, valid: np.ndarray, diag: Optional[Diagnostics]) -> np.ndarray:
     """`clamped_simplex_sweep` of a binary stack: the loop's first pass, its operations
     in its order but a label slice at a time (whole-stack calls that broadcast along
     the label axis are slower), then its end.  A one-label node reads (1, 0); a
     two-label node that clamps keeps 1.0 on its other label, or (0, 0) where both
-    went negative (grad/denom past about 2^53, which no solver forms)."""
+    went negative (grad/denom past about 2^53, which no solver forms).  `diag` records
+    the loop's certificate: a node that clamps takes a second pass, whose multiplier
+    is its one label left's, -inf with none left (the loop's division by zero)."""
     padded = not valid.all()
     safe_denom = np.where(valid, denom, 1.0) if padded else denom
     inv = np.where(valid, 1.0 / safe_denom, 0.0) if padded else 1.0 / denom
@@ -390,4 +386,12 @@ def _binary_sweep(grad: np.ndarray, denom: np.ndarray, valid: np.ndarray) -> np.
     clamped = neg0 | neg1
     np.copyto(P[..., 0], ~neg0, where=clamped)
     np.copyto(P[..., 1], ~neg1, where=clamped)
+    if diag is not None:
+        if clamped.any():
+            with np.errstate(divide="ignore"):
+                inv = np.where(np.stack((neg0, neg1), axis=-1), 0.0, inv)
+                lam2 = (label_sum(grad * inv) - 1.0) / label_sum(inv)
+            diag.check_multipliers(clamped, lam2, lam)
+            lam = lam2
+        diag.certify(P, grad, denom, valid, lam, clamped + 1)
     return P

@@ -15,3 +15,14 @@ def threaded(monkeypatch):
     handoffs, worker = [], packed._worker
     monkeypatch.setattr(packed, "_worker", lambda pid: handoffs.append(pid) or worker(pid))
     return handoffs
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print the acceptance criteria's `ACCEPTANCE NN ...` verdict lines once more at the
+    end of a run that captured them, so that a quiet run's log shows them: a report, not a gate."""
+    lines = sorted(line for key in ("passed", "failed") for rep in terminalreporter.stats.get(key, ())
+                   if rep.when == "call" for line in rep.capstdout.splitlines() if line.startswith("ACCEPTANCE "))
+    if lines:
+        terminalreporter.section("acceptance verdicts")
+        for line in lines:
+            terminalreporter.write_line(line)

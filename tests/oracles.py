@@ -209,10 +209,10 @@ def clamped_simplex_sweep_reference(
     valid: np.ndarray,
     diag: Optional[Diagnostics] = None,
 ) -> np.ndarray:
-    """`packed.clamped_simplex_sweep` with numpy's label-axis reductions
-    (`sum(axis=-1)`, `any(axis=-1)`) in place of its label-slice sums; it
-    counts multiplier violations without logging them.  The library sweep
-    must match it bit for bit, `Diagnostics` included."""
+    """The clamping loop of `packed.clamped_simplex_sweep`, pinned, with numpy's
+    label-axis reductions (`sum(axis=-1)`, `any(axis=-1)`) in place of its label-slice
+    sums; it counts multiplier violations without logging them.  The library sweep,
+    its binary closed form included, must match it bit for bit, `Diagnostics` included."""
     rows = grad.shape[:-1]
     active = np.broadcast_to(valid, grad.shape).copy()
     safe_denom = np.where(valid, denom, 1.0)
@@ -239,7 +239,9 @@ def clamped_simplex_sweep_reference(
         active &= ~neg
         inv[neg] = 0.0
     if diag is not None:
-        diag.record_passes(passes)
+        diag.max_inner_passes = max(diag.max_inner_passes, int(passes.max(initial=0)))
+        for v in sorted(set(passes.ravel().tolist())):
+            diag.inner_pass_hist[v] = diag.inner_pass_hist.get(v, 0) + int((passes == v).sum())
         on = valid & (P > 0.0)
         resid = np.abs(denom * P - grad + lam[..., None])
         if on.any():
@@ -524,7 +526,7 @@ def _reference_solver(solver: str, graph: PackedGraph, config: SolverConfig):
 
         def sweep(P, S, diag):
             nonlocal tail
-            P1 = cccp._plain_step(graph, P, S, diag)
+            P1 = clamped_simplex_sweep_reference(P * graph.theta_hat + S, graph.theta_hat, graph.valid, diag)
             S1 = delta_sums_add_at(graph, P1)
             if not tail:
                 tail = _relative_change(_qp(P1, S1), _qp(P, S)) < gate

@@ -286,8 +286,10 @@ class TestGenerate:
     ["generate", "ising", "--rows", "3", "--cols", "3", "--beta", "nan", "--output", "{tmp}/g.uai"],
     ["generate", "ising", "--rows", "3", "--cols", "3", "--beta", "inf", "--output", "{tmp}/g.uai"],
     ["generate", "random", "--nodes", "4", "--labels", "2", "--scale", "nan", "--output", "{tmp}/r.uai"],
+    ["generate", "ising", "--rows", "3", "--cols", "3", "--beta", "1.0", "--seed", "-1", "--output", "{tmp}/g.uai"],
+    ["generate", "random", "--nodes", "4", "--labels", "2", "--scale", "-0.0", "--output", "{tmp}/r.uai"],
 ], ids=["ising-rows-0", "random-nodes-1", "unwritable-output", "unwritable-trace",
-        "ising-beta-nan", "ising-beta-inf", "random-scale-nan"])
+        "ising-beta-nan", "ising-beta-inf", "random-scale-nan", "ising-seed-negative", "random-scale-minus-0"])
 def test_bad_parameter_or_path_is_input_error(tmp_path, capsys, argv):
     model = write_minimal(tmp_path)
     rc = cli.main([x.format(tmp=tmp_path, model=model) for x in argv])

@@ -103,19 +103,27 @@ class TestRandomMrf:
         assert not gen_random_mrf(5, 2, seed=0).unaries
 
 
-@pytest.mark.parametrize("make", [
-    lambda: IsingSpec(0, 3, beta=1.0),
-    lambda: IsingSpec(3, 3, beta=0.0),
-    lambda: IsingSpec(3, 3, beta=float("nan")),
-    lambda: IsingSpec(3, 3, beta=float("inf")),
-    lambda: IsingSpec(3, 3, beta=1.0, node_potential_bound=float("nan")),
-    lambda: IsingSpec(3, 3, beta=1.0, node_potential_bound=float("inf")),
-    lambda: gen_random_mrf(1, 2),
-    lambda: gen_random_mrf(4, 2, density=0.0),
-    lambda: gen_random_mrf(4, 2, potential_scale=float("nan")),
-    lambda: gen_random_mrf(4, 2, potential_scale=float("-inf")),
-], ids=["rows-0", "beta-0", "beta-nan", "beta-inf", "bound-nan", "bound-inf",
-        "nodes-1", "density-0", "scale-nan", "scale-minus-inf"])
-def test_bad_parameters_raise_value_error(make):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("make, name", [
+    (lambda: IsingSpec(0, 3, beta=1.0), "rows"),
+    (lambda: IsingSpec(3, 3, beta=0.0), "beta"),
+    (lambda: IsingSpec(3, 3, beta=float("nan")), "beta"),
+    (lambda: IsingSpec(3, 3, beta=float("inf")), "beta"),
+    (lambda: IsingSpec(3, 3, beta=1.0, node_potential_bound=float("nan")), "node_potential_bound"),
+    (lambda: IsingSpec(3, 3, beta=1.0, node_potential_bound=float("inf")), "node_potential_bound"),
+    (lambda: IsingSpec(3, 3, beta=1.0, node_potential_bound=-0.5), "node_potential_bound"),
+    (lambda: IsingSpec(3, 3, beta=1.0, node_potential_bound=-0.0), "node_potential_bound"),
+    (lambda: IsingSpec(3, 3, beta=1.0, seed=-1), "seed"),
+    (lambda: gen_random_mrf(1, 2), "n >= 2"),
+    (lambda: gen_random_mrf(4, 2, density=0.0), "density"),
+    (lambda: gen_random_mrf(4, 2, potential_scale=float("nan")), "potential_scale"),
+    (lambda: gen_random_mrf(4, 2, potential_scale=float("-inf")), "potential_scale"),
+    (lambda: gen_random_mrf(4, 2, potential_scale=-1.0), "potential_scale"),
+    (lambda: gen_random_mrf(4, 2, potential_scale=-0.0), "potential_scale"),
+    (lambda: gen_random_mrf(4, 2, seed=-1), "seed"),
+], ids=["rows-0", "beta-0", "beta-nan", "beta-inf", "bound-nan", "bound-inf", "bound-negative",
+        "bound-minus-0", "ising-seed-negative", "nodes-1", "density-0", "scale-nan", "scale-minus-inf",
+        "scale-negative", "scale-minus-0", "random-seed-negative"])
+def test_bad_parameters_raise_value_error(make, name):
+    # the message names the parameter, not numpy's sampler
+    with pytest.raises(ValueError, match=name):
         make()

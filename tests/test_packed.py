@@ -140,9 +140,13 @@ def test_binary_closed_form_equals_reference(seed):
     rng = np.random.default_rng(seed)
     grad, denom, valid = binary_stack(rng)
     for g in (grad, grad[0], np.zeros_like(grad)):
-        P = clamped_simplex_sweep(g, denom, valid)
+        diag, ref_diag = Diagnostics(), Diagnostics()
+        P = clamped_simplex_sweep(g, denom, valid, diag)
+        assert same_bits(P, clamped_simplex_sweep(g, denom, valid))
         with np.errstate(divide="ignore", invalid="ignore"):  # the loop's pass on a node with no label left
-            assert same_bits(P, clamped_simplex_sweep_reference(g, denom, valid))
+            assert same_bits(P, clamped_simplex_sweep_reference(g, denom, valid, ref_diag))
+        # by repr: a node whose two labels both clamp has a -inf multiplier
+        assert repr(dataclasses.asdict(diag)) == repr(dataclasses.asdict(ref_diag))
 
 
 def test_binary_stacks_reach_every_case():
@@ -158,18 +162,21 @@ def test_binary_stacks_reach_every_case():
     assert clamped == {(False, False), (True, False), (False, True), (True, True)}
 
 
-def test_binary_call_without_diagnostics_skips_the_loop(monkeypatch):
-    def loop_only(X):
-        raise AssertionError("the clamping loop ran")
+def test_binary_calls_never_run_the_loop(monkeypatch):
+    def counted(X):  # only the loop counts labels: the closed form sums floats alone
+        if X.dtype == bool:
+            raise AssertionError("the clamping loop ran")
+        return label_sum(X)
 
     stacks = {k: sweep_stack(np.random.default_rng(k), k) for k in (2, 3)}
-    want = clamped_simplex_sweep_reference(*stacks[2])
-    monkeypatch.setattr(packed, "label_sum", loop_only)
-    assert same_bits(clamped_simplex_sweep(*stacks[2]), want)
-    # the loop still runs with Diagnostics, and from three labels on
-    for args in (stacks[2] + (Diagnostics(),), stacks[3]):
+    want = [clamped_simplex_sweep_reference(*stacks[2], d) for d in (None, Diagnostics())]
+    monkeypatch.setattr(packed, "label_sum", counted)
+    for ref, diag in zip(want, (None, Diagnostics())):
+        assert same_bits(clamped_simplex_sweep(*stacks[2], diag), ref)
+    # from three labels on the loop runs, with Diagnostics or without
+    for diag in (None, Diagnostics()):
         with pytest.raises(AssertionError, match="the clamping loop ran"):
-            clamped_simplex_sweep(*args)
+            clamped_simplex_sweep(*stacks[3], diag)
 
 
 def report_bytes(x) -> bytes:
@@ -200,12 +207,12 @@ def padded_binary_mrf() -> PairwiseMRF:
     pytest.param(padded_binary_mrf(), SolverConfig(restarts=5, seed=1), id="padded-binary"),
 ])
 @pytest.mark.parametrize("solve", [cccp.solve, qpmap.solve_convex], ids=["cccp", "convex"])
-def test_closed_form_and_loop_solve_alike(solve, mrf, config):
-    # collecting Diagnostics runs the loop; without them a binary sweep takes the closed form
-    looped = solve(mrf, dataclasses.replace(config, collect_diagnostics=True))
-    closed = solve(mrf, config)
-    assert looped.diagnostics is not None and closed.diagnostics is None
-    assert report_bytes(closed) == report_bytes(looped)
+def test_diagnosed_and_undiagnosed_solves_report_alike(solve, mrf, config):
+    # collecting Diagnostics changes no update: a binary sweep takes the closed form either way
+    diagnosed = solve(mrf, dataclasses.replace(config, collect_diagnostics=True))
+    plain = solve(mrf, config)
+    assert diagnosed.diagnostics is not None and plain.diagnostics is None
+    assert report_bytes(plain) == report_bytes(diagnosed)
 
 
 # -- the two message directions on two threads ---------------------------------
