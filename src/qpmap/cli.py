@@ -28,14 +28,15 @@ EXIT_DEGENERATE = 3
 def _log_transform(mrf: PairwiseMRF) -> PairwiseMRF:
     """Entrywise log of all tables, for files using the probability convention."""
     unaries = mrf.unaries or {}
-    for arrays, what in ((mrf.tables, "table entries"), (tuple(unaries.values()), "unary entries")):
-        if arrays and np.concatenate([a.ravel() for a in arrays]).min() <= 0.0:
+    for arrays, what in (([s for *_, s in mrf.groups], "table entries"), (tuple(unaries.values()), "unary entries")):
+        if arrays and min(a.min() for a in arrays) <= 0.0:
             raise ValueError(f"--log-transform requires strictly positive {what}")
-    tables, logs = tuple(map(np.log, mrf.tables)), {i: np.log(u) for i, u in unaries.items()}
-    for a in (*tables, *logs.values()):
+    groups = [(ki, kj, idx, np.log(stack)) for ki, kj, idx, stack in mrf.groups]
+    logs = {i: np.log(u) for i, u in unaries.items()}
+    for a in (*(g[3] for g in groups), *logs.values()):
         a.flags.writeable = False
     # the log of a finite positive entry is finite: the model needs no new checks
-    return model._trusted(mrf.cardinalities, mrf.edges, tables, logs or None)
+    return model._trusted(mrf.cardinalities, mrf.edges, groups, logs or None)
 
 
 def _write_trace(path: str, report: SolveReport) -> None:

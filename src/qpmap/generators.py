@@ -9,7 +9,7 @@ node potentials in node order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -54,16 +54,12 @@ def gen_ising_grid(spec: IsingSpec) -> PairwiseMRF:
                 edges.append((node(r, c), node(r, c + 1)))
             if r + 1 < spec.rows:
                 edges.append((node(r, c), node(r + 1, c)))
-    tables = []
-    for _ in edges:
-        d = rng.uniform(-spec.beta, spec.beta)
-        tables.append(np.array([[d, -d], [-d, d]]))
-    unaries: Dict[int, np.ndarray] = {}
+    # one draw per edge, then one per node; a sign flip is exact, so d * -1.0 is -d
+    tables = rng.uniform(-spec.beta, spec.beta, size=(len(edges), 1, 1)) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    tables.flags.writeable = False  # the model keeps this stack
     b = spec.node_potential_bound
-    for i in range(n):
-        u = rng.uniform(-b, b)
-        unaries[i] = np.array([u, -u])
-    return PairwiseMRF((2,) * n, tuple(edges), tuple(tables), unaries)
+    unaries = rng.uniform(-b, b, size=(n, 1)) * np.array([1.0, -1.0])
+    return PairwiseMRF((2,) * n, tuple(edges), tuple(tables), dict(enumerate(unaries)))
 
 
 def gen_random_mrf(
@@ -94,5 +90,6 @@ def gen_random_mrf(
         for j in range(i + 1, n):
             if (i, j) not in tree and rng.random() < density:
                 edges.append((i, j))
-    tables = tuple(rng.uniform(0.0, potential_scale, size=(k, k)) for _ in edges)
-    return PairwiseMRF((k,) * n, tuple(edges), tables)
+    tables = rng.uniform(0.0, potential_scale, size=(len(edges), k, k))  # the per-edge draws, in order
+    tables.flags.writeable = False  # the model keeps this stack
+    return PairwiseMRF((k,) * n, tuple(edges), tuple(tables))

@@ -3,16 +3,19 @@
 A model is a collection of discrete nodes joined by undirected edges, each
 edge carrying a dense potential table.  Edge tables are stored once in
 canonical (i < j) orientation; access in the opposite orientation is a
-transpose view, never a copy.  Models are treated as immutable after
-construction (tables are marked read-only), so they can be shared freely
-across threads for evaluation.
+transpose view, never a copy.  The tables live in per-shape groups, each a
+read-only (edges, k_i, k_j) stack, and `tables` is their rows in edge order.
+Per-edge arrays passed by a caller are copied once, at construction, into
+those stacks, so a model is immutable and shares no memory with a writeable
+array; only rows that already are one read-only stack, in order (a
+generator's, another model's), are kept as they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, compress
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,11 +44,38 @@ class DegenerateNodeError(ModelError):
         super().__init__(f"node {node}: {message}")
 
 
-def _check_finite(arrays: Sequence[np.ndarray], name: Callable[[int], str]) -> None:
-    """Raise ModelError naming (`name(index)`) the first array with a nan or inf entry."""
-    for e, a in enumerate(arrays):
-        if not np.isfinite(a).all():
-            raise ModelError(f"{name(e)} has non-finite entries")
+# a group: (k_i, k_j, the edge positions of its rows, their read-only C-contiguous stack)
+Group = Tuple[int, int, np.ndarray, np.ndarray]
+
+
+def _check_finite(groups: Iterable[Group], name: Callable[[int], str]) -> None:
+    """Raise ModelError naming (`name(index)`) the least position in the groups whose
+    array has a nan or inf entry: each row's min and max show one, with no mask made."""
+    bad = [idx[~(np.isfinite(s.min(axis=1)) & np.isfinite(s.max(axis=1)))]
+           for idx, s in ((idx, s.reshape(len(s), -1)) for *_, idx, s in groups)]
+    if (bad := np.concatenate([np.zeros(0, int), *bad])).size:
+        raise ModelError(f"{name(int(bad.min()))} has non-finite entries")
+
+
+def _stack_of(rows: List[np.ndarray]) -> Optional[np.ndarray]:
+    """The read-only float stack whose rows, in order, `rows` are, or None."""
+    base, step = rows[0].base, rows[0].nbytes
+    if not (isinstance(base, np.ndarray) and base.dtype == float and base.flags.owndata and base.flags.c_contiguous
+            and not base.flags.writeable and base.nbytes == len(rows) * step
+            and all(r.base is base and r.flags.c_contiguous for r in rows)):
+        return None
+    at = base.ctypes.data  # not __array_interface__, which numpy 2.4 leaks a few bytes a call in
+    ordered = [r.ctypes.data for r in rows] == list(range(at, at + base.nbytes, step))
+    return base.reshape((len(rows),) + rows[0].shape) if ordered else None
+
+
+def rows_in_order(groups: Iterable[Group], count: int) -> tuple:
+    """The rows of the groups' stacks, as the tuple of the `count` positions they fill."""
+    pool, pick = [], np.empty(count, dtype=int)  # row t of the tuple is pool[pick[t]]
+    for *_, idx, stack in groups:
+        pick[idx] = len(pool) + np.arange(len(idx))
+        pool.extend(stack)
+    return tuple(map(pool.__getitem__, pick.tolist()))
 
 
 @dataclass(frozen=True)
@@ -56,12 +86,15 @@ class PairwiseMRF:
     edges: unordered node pairs, stored canonically with i < j.
     tables: one dense k_i x k_j array per edge, aligned with `edges`.
     unaries: optional per-node vectors; `prepare_model` folds them into the tables.
+    groups: the stacks `tables` are rows of, in ascending (k_i, k_j) order;
+        the constructor makes one per table shape.
     """
 
     cardinalities: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]
     tables: Tuple[np.ndarray, ...]
     unaries: Optional[Dict[int, np.ndarray]] = None
+    groups: Tuple[Group, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.cardinalities)
@@ -90,13 +123,21 @@ class PairwiseMRF:
                     f"edge ({i},{j}) table shape {t.shape} != "
                     f"({self.cardinalities[i]},{self.cardinalities[j]})"
                 )
-            t = np.ascontiguousarray(t)
-            t.flags.writeable = False
             canon_edges.append((i, j))
             canon_tables.append(t)
-        _check_finite(canon_tables, lambda e: "edge ({},{}) table".format(*canon_edges[e]))
+        shapes, groups = np.array([t.shape for t in canon_tables], dtype=int).reshape(-1, 2), []
+        for ki, kj, idx in shape_groups(shapes[:, 0], shapes[:, 1]):
+            stack = _stack_of(rows := [canon_tables[e] for e in idx.tolist()])
+            if stack is None:  # the one copy: the caller's arrays stay theirs, and writeable
+                stack = np.array(rows)
+                stack.flags.writeable = False
+                for e, row in zip(idx.tolist(), stack):
+                    canon_tables[e] = row
+            groups.append((ki, kj, idx, stack))
+        _check_finite(groups, lambda e: "edge ({},{}) table".format(*canon_edges[e]))
         object.__setattr__(self, "edges", tuple(canon_edges))
         object.__setattr__(self, "tables", tuple(canon_tables))
+        object.__setattr__(self, "groups", tuple(groups))
         object.__setattr__(self, "cardinalities", tuple(int(k) for k in self.cardinalities))
         if self.unaries is not None:
             clean: Dict[int, np.ndarray] = {}
@@ -109,7 +150,8 @@ class PairwiseMRF:
                 u = u.copy()
                 u.flags.writeable = False
                 clean[i] = u
-            _check_finite(list(clean.values()), lambda e: f"unary on node {list(clean)[e]}")
+            if bad := [i for i, u in clean.items() if not np.isfinite(u).all()]:
+                raise ModelError(f"unary on node {bad[0]} has non-finite entries")
             object.__setattr__(self, "unaries", clean)
 
     @property
@@ -135,13 +177,14 @@ def evaluate_assignment(mrf: PairwiseMRF, a: Sequence[int]) -> float | np.ndarra
     from 0.0 in edge order, then in unary order; the (R,) sums of an (R, n) stack."""
     a = check_assignment(mrf, a)
     x, unaries = a if a.ndim == 2 else a[None], mrf.unaries or {}
-    terms = [np.zeros((len(x), 1))]
-    for arrays, ends in ((mrf.tables, edge_ends(mrf).reshape(2, -1)),
-                         (tuple(unaries.values()), [np.fromiter(unaries, int, len(unaries))])):
-        labels = (x[:, e].ravel().tolist() for e in ends)  # one item of each array per row
-        items = np.fromiter(map(np.ndarray.item, arrays * len(x), *labels), float, len(x) * len(arrays))
-        terms.append(items.reshape(len(x), len(arrays)))
-    total = np.cumsum(np.concatenate(terms, axis=1), axis=1)[:, -1]
+    src, tgt = edge_ends(mrf).reshape(2, -1)
+    items = np.zeros((len(x), 1 + len(src) + len(unaries)))  # 0.0, each edge's item, each unary's
+    for *_, idx, stack in mrf.groups:  # one gather per group
+        items[:, 1 + idx] = stack[np.arange(len(idx)), x[:, src[idx]], x[:, tgt[idx]]]
+    labels = x[:, np.fromiter(unaries, int, len(unaries))].ravel().tolist()  # one item of each unary per row
+    items[:, 1 + len(src):] = np.fromiter(map(np.ndarray.item, tuple(unaries.values()) * len(x), labels),
+                                          float, len(labels)).reshape(len(x), len(unaries))
+    total = np.cumsum(items, axis=1)[:, -1]
     return float(total[0]) if a.ndim == 1 else total
 
 
@@ -154,16 +197,18 @@ def edge_ends(mrf: PairwiseMRF) -> np.ndarray:
 def shape_groups(rows: np.ndarray, cols: np.ndarray) -> Iterator[Tuple[int, int, np.ndarray]]:
     """(r, c, the positions e where (rows[e], cols[e]) is (r, c)), one per
     table shape, in ascending (r, c) order."""
-    base = cols.max(initial=0) + 1
+    base = int(cols.max(initial=0)) + 1
     shape = rows * base + cols
     for code in np.unique(shape).tolist():
         yield (*divmod(code, base), np.flatnonzero(shape == code))
 
 
-def _trusted(cardinalities, edges, tables, unaries=None) -> PairwiseMRF:
-    """A model from valid, canonical, read-only parts, not validated again."""
+def _trusted(cardinalities, edges, groups, unaries=None, tables=None) -> PairwiseMRF:
+    """A model from valid, canonical parts and read-only groups, not validated again;
+    `tables` is the groups' rows in edge order unless given."""
     mrf = object.__new__(PairwiseMRF)
-    mrf.__dict__.update(cardinalities=cardinalities, edges=edges, tables=tables, unaries=unaries)
+    tables = rows_in_order(groups, len(edges)) if tables is None else tables
+    mrf.__dict__.update(cardinalities=cardinalities, edges=edges, tables=tables, unaries=unaries, groups=tuple(groups))
     return mrf
 
 
@@ -172,8 +217,10 @@ def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
 
     Each unary u_i is split evenly over node i's incident tables (u_i/deg(i)
     added to the rows of each, u_j/deg(j) to the columns), then each table
-    is shifted so its minimum entry is 0.  Both steps work on one stack per
-    table shape; a table that needs neither step is reused, not copied.
+    is shifted so its minimum entry is 0.  Both steps work a group at a time:
+    a group that needs neither step is passed through, one whose every table
+    changes is replaced by the new stack, and a table that needs neither step
+    is reused, not copied.
     Returns the prepared model and the total shift: for every assignment,
     the original objective equals the prepared one minus the shift.  A
     rewritten table or a total shift that overflows is UnsupportedModelError.
@@ -192,23 +239,32 @@ def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
         [np.zeros(0), *(unaries[i] for i in sorted(unaries))])
     share /= np.maximum(deg, 1)[:, None]
     touched = has[src] | has[tgt]
-    # an untouched table's minimum is read in place: only tables that change are stacked
-    lo, untouched = np.zeros(len(src)), ~touched
-    lo[untouched] = np.fromiter(map(np.ndarray.min, compress(mrf.tables, untouched.tolist())), float)
-    rewrite = np.flatnonzero(touched | (lo < 0.0))
+    # an untouched table's minimum is read in place, a group at a time: only tables that change are copied
+    lo = np.zeros(len(src))
+    for *_, idx, stack in mrf.groups:
+        if not touched[idx].all():
+            lo[idx] = np.where(touched[idx], 0.0, stack.reshape(len(idx), -1).min(axis=1))
+    rewrite, groups = touched | (lo < 0.0), []
     pool, pick = list(mrf.tables), np.arange(len(src))  # the tables: pool[pick[e]] for edge e
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported, naming its edge
-        for ki, kj, sub in shape_groups(cards[src[rewrite]], cards[tgt[rewrite]]):
-            idx = rewrite[sub]
-            group, rows, cols = np.array([mrf.tables[e] for e in idx.tolist()]), src[idx], tgt[idx]
+        for ki, kj, idx, stack in mrf.groups:
+            if not (redo := rewrite[idx]).any():
+                groups.append((ki, kj, idx, stack))
+                continue
+            keep = np.flatnonzero(~redo)  # the rows kept, as runs of consecutive rows of the stack
+            runs = np.split(keep, np.flatnonzero(np.diff(keep) > 1) + 1) if keep.size else []
+            groups += [(ki, kj, idx[r], stack[r[0]:r[-1] + 1]) for r in runs]
+            idx, group = idx[redo], stack[redo]
+            rows, cols = src[idx], tgt[idx]
             np.add(group, share[rows, :ki, None], out=group, where=has[rows, None, None])
             np.add(group, share[cols, None, :kj], out=group, where=has[cols, None, None])
             lo[idx] = low = group.min(axis=(1, 2))
             np.subtract(group, low[:, None, None], out=group, where=(low < 0.0)[:, None, None])
             if not np.isfinite(group).all():
-                bad = idx[~np.isfinite(group).all(axis=(1, 2))][0]
+                bad = idx[~np.isfinite(group).all(axis=(1, 2))].min()
                 raise UnsupportedModelError("edge ({},{}): prepared table is not finite".format(*mrf.edges[bad]))
             group.flags.writeable = False
+            groups.append((ki, kj, idx, group))
             pick[idx] = len(pool) + np.arange(len(idx))
             pool.extend(group)
         running = np.cumsum(np.append(0.0, -lo[lo < 0.0]))  # summed in edge order
@@ -216,4 +272,4 @@ def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
         e = np.flatnonzero(lo < 0.0)[np.argmin(np.isfinite(running[1:]))]
         raise UnsupportedModelError("edge ({},{}): total shift is not finite".format(*mrf.edges[e]))
     tables = tuple(map(pool.__getitem__, pick.tolist()))
-    return _trusted(mrf.cardinalities, mrf.edges, tables), float(running[-1])
+    return _trusted(mrf.cardinalities, mrf.edges, groups, tables=tables), float(running[-1])

@@ -2,9 +2,11 @@
 
 All node quantities live in (n, kmax) matrices (an (R, n, kmax) stack for
 R restarts), zero-padded when label counts differ, with a boolean validity
-mask.  Edge tables are stacked once in canonical orientation, one shape at
-a time; the reverse orientation is obtained by transposed einsums.  Binary
-graphs (kmax <= 2) also keep a label-major copy of the tables, built on first use.
+mask.  Edge tables are one read-only (|E|, kmax, kmax) stack in canonical
+orientation: a model's single unpadded group in edge order is adopted, not
+copied; other models' groups are padded into a new stack one group at a time.
+The reverse orientation is obtained by transposed einsums.  Binary graphs
+(kmax <= 2) also keep a label-major copy of the tables, built on first use.
 
 Per-node reductions over a short label axis are whole-stack operations on
 label slices, not numpy's row-at-a-time loop, and exact: `label_sum` adds
@@ -177,14 +179,15 @@ class PackedGraph:
         m = len(mrf.edges)
         self.ends = model.edge_ends(mrf)
         self.src, self.tgt = self.ends.reshape(2, m)
-        # one assignment per table shape; a single shape with unpadded rows is
-        # concatenated in place, with no table-sized temporary
-        self.tables = np.zeros((m, kmax, kmax))
-        for ki, kj, idx in model.shape_groups(self.card[self.src], self.card[self.tgt]):
-            if len(idx) == m and ki == kmax:
-                np.concatenate(mrf.tables, out=self.tables.reshape(m * kmax, kmax)[:, :kj])
-            else:
-                self.tables[idx, :ki, :kj] = [mrf.tables[e] for e in idx.tolist()]
+        # read-only either way: no sweep writes into the tables, so a model's own stack can serve
+        groups = mrf.groups
+        if len(groups) == 1 and groups[0][:2] == (kmax, kmax) and np.array_equal(groups[0][2], np.arange(m)):
+            self.tables = groups[0][3]
+        else:
+            self.tables = np.zeros((m, kmax, kmax))
+            for ki, kj, idx, stack in groups:
+                self.tables[idx, :ki, :kj] = stack
+            self.tables.flags.writeable = False
 
         # theta_hat(x_i) = sum over neighbors j, labels x_j of theta_ij(x_i, x_j)
         self.theta_hat = np.zeros((n, kmax))

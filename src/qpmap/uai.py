@@ -28,13 +28,15 @@ class UaiParseError(ValueError):
 
 
 def _sum_scopes(vals: np.ndarray, key: np.ndarray, at: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                flip: np.ndarray, unary: bool) -> Tuple[np.ndarray, tuple]:
-    """The distinct `key`s in order of first appearance, and each one's table:
-    the sum, in file order, of its factors' (rows, cols) entries read
-    row-major from `vals` at `at` (column-major where `flip`).  `unary`
-    tables (`rows` all 1) are 1-D."""
+                flip: np.ndarray, unary: bool) -> Tuple[np.ndarray, list]:
+    """The distinct `key`s in order of first appearance, and their tables as
+    model groups, one per table shape: each key's table is the sum, in file
+    order, of its factors' (rows, cols) entries read row-major from `vals` at
+    `at` (column-major where `flip`).  `unary` stacks (`rows` all 1) hold
+    1-D tables."""
     uniq, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    pool, pick = [], np.empty(len(uniq), dtype=int)  # the tables: pool[pick[t]] for key uniq[t]
+    order = np.argsort(first)
+    rank, pick, groups = np.argsort(order), np.empty(len(uniq), dtype=int), []  # pick: a key's stack row
     for r, c, fs in model.shape_groups(rows, cols):  # one gather per table shape
         lead = first[inv[fs]] == fs  # a key's first factor
         grid = np.where(flip[fs, None, None], np.arange(r * c).reshape(c, r).T, np.arange(r * c).reshape(r, c))
@@ -42,12 +44,11 @@ def _sum_scopes(vals: np.ndarray, key: np.ndarray, at: np.ndarray, rows: np.ndar
         stack = block if lead.all() else block[lead]
         if unary:  # a unary sum starts from 0 + entries
             stack += 0.0
-        pick[inv[fs[lead]]] = len(pool) + np.arange(len(stack))
-        np.add.at(stack, pick[inv[fs[~lead]]] - len(pool), block[~lead])  # in file order
+        pick[inv[fs[lead]]] = np.arange(len(stack))
+        np.add.at(stack, pick[inv[fs[~lead]]], block[~lead])  # in file order
         stack.flags.writeable = False
-        pool.extend(stack.reshape(len(stack), -1) if unary else stack)
-    order = np.argsort(first)
-    return uniq[order], tuple(map(pool.__getitem__, pick[order].tolist()))
+        groups.append((r, c, rank[inv[fs[lead]]], stack.reshape(len(stack), -1) if unary else stack))
+    return uniq[order], groups
 
 
 def parse_uai(text: str) -> PairwiseMRF:
@@ -96,13 +97,14 @@ def parse_uai(text: str) -> PairwiseMRF:
     lo, hi = np.minimum(u[two], w[two]), np.maximum(u[two], w[two])
     with np.errstate(over="ignore"):  # an overflowing sum is reported below
         nodes, unaries = _sum_scopes(vals, u[one], at[one], np.ones_like(one), card[u[one]], one < 0, True)
-        pairs, tables = _sum_scopes(vals, lo * n + hi, at[two], card[lo], card[hi], u[two] > w[two], False)
+        pairs, groups = _sum_scopes(vals, lo * n + hi, at[two], card[lo], card[hi], u[two] > w[two], False)
     edges = tuple(zip((pairs // max(n, 1)).tolist(), (pairs % max(n, 1)).tolist()))
     if len(pairs) + len(nodes) < nf:  # only a repeated scope sums entries
-        model._check_finite(tables, lambda e: "edge ({},{}) table".format(*edges[e]))
+        model._check_finite(groups, lambda e: "edge ({},{}) table".format(*edges[e]))
         model._check_finite(unaries, lambda e: f"unary on node {nodes[e]}")
-    # the rest was checked above as PairwiseMRF would check it; the tables are read-only
-    return model._trusted(tuple(cards), edges, tables, dict(zip(nodes.tolist(), unaries)) or None)
+    # the rest was checked above as PairwiseMRF would check it; the stacks are read-only
+    unaries = dict(zip(nodes.tolist(), model.rows_in_order(unaries, len(nodes))))
+    return model._trusted(tuple(cards), edges, groups, unaries or None)
 
 
 def _first_fault(text: str) -> UaiParseError:

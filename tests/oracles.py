@@ -2,7 +2,8 @@
 
 Most of this is deliberately written without the package's packed
 message-passing machinery: brute-force enumeration, naive per-edge loops
-(scoring an assignment, packing the tables), projected-gradient ascent
+(scoring an assignment, packing the tables, drawing the generators'
+tables), projected-gradient ascent
 with sort-based simplex projection, the scalar per-node clamped update,
 per-node belief fixtures, the per-token UAI reader and the per-edge
 solver-ready form.  The
@@ -17,12 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from qpmap import cccp, maxproduct, model
 from qpmap.common import SolverConfig, SolveReport, TraceRecord, init_beliefs, restart_rng
+from qpmap.generators import IsingSpec
 from qpmap.model import DegenerateNodeError, PairwiseMRF, UnsupportedModelError, check_assignment
 from qpmap.packed import Diagnostics, PackedGraph
 from qpmap.uai import UaiParseError
@@ -148,6 +150,52 @@ def mixed_cardinality_mrf(rng: np.random.Generator, n_max: int = 8, k_max: int =
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if j == i + 1 or rng.random() < 0.4]
     tables = tuple(rng.normal(size=(cards[i], cards[j])) for i, j in edges)
     return PairwiseMRF(cards, tuple(edges), tables)
+
+
+def gen_ising_grid_per_edge(spec: IsingSpec) -> PairwiseMRF:
+    """`generators.gen_ising_grid` one draw and one array at a time: a coupling
+    per edge (grid row-major, right edge before down edge), then a node potential per node."""
+    rng = np.random.default_rng(spec.seed)
+    n, edges = spec.rows * spec.cols, []
+    for r in range(spec.rows):
+        for c in range(spec.cols):
+            if c + 1 < spec.cols:
+                edges.append((r * spec.cols + c, r * spec.cols + c + 1))
+            if r + 1 < spec.rows:
+                edges.append((r * spec.cols + c, (r + 1) * spec.cols + c))
+    tables = []
+    for _ in edges:
+        d = rng.uniform(-spec.beta, spec.beta)
+        tables.append(np.array([[d, -d], [-d, d]]))
+    unaries = {}
+    for i in range(n):
+        u = rng.uniform(-spec.node_potential_bound, spec.node_potential_bound)
+        unaries[i] = np.array([u, -u])
+    return PairwiseMRF((2,) * n, tuple(edges), tuple(tables), unaries)
+
+
+def random_mrf_draws_per_edge(n: int, k: int, density: float = 0.5, potential_scale: float = 1.0,
+                              seed: int = 0) -> Tuple[Tuple[Tuple[int, int], ...], Iterator[np.ndarray]]:
+    """`generators.gen_random_mrf`'s edges, and its tables drawn one edge at a
+    time, lazily, so that a large model's draws need not all be held at once."""
+    rng = np.random.default_rng(seed)
+    edges, tree = [], set()
+    for v in range(1, n):
+        u = int(rng.integers(0, v))
+        tree.add((u, v))
+        edges.append((u, v))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in tree and rng.random() < density:
+                edges.append((i, j))
+    return tuple(edges), (rng.uniform(0.0, potential_scale, size=(k, k)) for _ in edges)
+
+
+def gen_random_mrf_per_edge(n: int, k: int, density: float = 0.5, potential_scale: float = 1.0,
+                            seed: int = 0) -> PairwiseMRF:
+    """`generators.gen_random_mrf` one draw and one array per edge."""
+    edges, tables = random_mrf_draws_per_edge(n, k, density, potential_scale, seed)
+    return PairwiseMRF((k,) * n, edges, tuple(tables))
 
 
 @dataclass

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from qpmap.bench import BenchPlan, instance_seed
 from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
+from oracles import gen_ising_grid_per_edge, gen_random_mrf_per_edge, random_mrf_draws_per_edge
 
 
 class TestIsingGrid:
@@ -127,3 +131,50 @@ def test_bad_parameters_raise_value_error(make, name):
     # the message names the parameter, not numpy's sampler
     with pytest.raises(ValueError, match=name):
         make()
+
+
+# The generators draw each model's tables as one stack; these pin them to the
+# per-edge draws, byte for byte, so that no fixture built on them drifts.
+
+
+def assert_same_draws(got, want):
+    assert got.cardinalities == want.cardinalities and got.edges == want.edges
+    assert all(t.tobytes() == r.tobytes() for t, r in zip(got.tables, want.tables))
+    assert list(got.unaries or {}) == list(want.unaries or {})
+    assert all(got.unaries[i].tobytes() == want.unaries[i].tobytes() for i in want.unaries or {})
+
+
+CRITERION_07 = BenchPlan(sizes=((10, 10), (20, 20)), betas=(0.5, 1.0, 2.0), instances=10, restarts=10,
+                         solvers=("cccp", "maxprod"), seed=0)
+
+
+def test_ising_draws_equal_per_edge_draws():
+    plan = CRITERION_07
+    specs = [IsingSpec(rows, cols, beta, seed=instance_seed(plan, si, bi, t))
+             for si, (rows, cols) in enumerate(plan.sizes) for bi, beta in enumerate(plan.betas)
+             for t in range(plan.instances)]
+    specs += [IsingSpec(10, 10, beta, seed=seed) for beta in (0.5, 1.0, 2.0) for seed in (0, 1)]
+    specs += [IsingSpec(50, 50, 1.0, seed=7), IsingSpec(1, 2, 0.3), IsingSpec(3, 4, 1.0, node_potential_bound=0.0)]
+    for spec in specs:
+        assert_same_draws(gen_ising_grid(spec), gen_ising_grid_per_edge(spec))
+
+
+@pytest.mark.parametrize("args", [(20, 64, 1.0, 1.0, 0), (20, 64, 1.0, 1.0, 1), (30, 4, 0.3, 1.0, 3),
+                                  (6, 4, 0.5, 2.5, 3), (5, 2, 0.5, 0.0, 1)])
+def test_random_draws_equal_per_edge_draws(args):
+    assert_same_draws(gen_random_mrf(*args), gen_random_mrf_per_edge(*args))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 9), st.integers(2, 5), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+def test_small_random_draws_equal_per_edge_draws(n, k, density, seed):
+    # the sizes of the acceptance criteria's random instances
+    assert_same_draws(gen_random_mrf(n, k, density, seed=seed), gen_random_mrf_per_edge(n, k, density, seed=seed))
+
+
+def test_criterion_09_draws_equal_per_edge_draws():
+    # 850 MiB of tables: the per-edge draws are made and compared one at a time
+    m = gen_random_mrf(100, 150, density=1.0, seed=2026)
+    edges, draws = random_mrf_draws_per_edge(100, 150, density=1.0, seed=2026)
+    assert m.edges == edges
+    assert all(t.tobytes() == r.tobytes() for t, r in zip(m.tables, draws))

@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpmap.generators import IsingSpec, gen_ising_grid
+from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from qpmap.model import (
     InvalidAssignmentError,
     ModelError,
@@ -337,10 +338,11 @@ def test_prepare_model_is_exact_on_mixed_models(seed):
     ref, ref_shift = prepare_model_reference(m)
     assert shift == ref_shift
     assert prepared.edges == ref.edges and prepared.cardinalities == ref.cardinalities
-    for t, r, orig in zip(prepared.tables, ref.tables, m.tables):
+    for (i, j), t, r, orig in zip(m.edges, prepared.tables, ref.tables, m.tables):
         assert t.shape == r.shape and t.tobytes() == r.tobytes()
         assert not t.flags.writeable
-        assert (t is orig) == (r is orig)
+        # reused exactly where the reference returns the table as it was: no unary at either end, no negative entry
+        assert (t is orig) == (i not in unaries and j not in unaries and orig.min() >= 0.0)
     assert not prepared.unaries
     u = [unaries.get(i, np.zeros(k)) / len(nbrs)
          for i, (k, nbrs) in enumerate(zip(m.cardinalities, adjacency(m)))]
@@ -418,3 +420,118 @@ def test_ingest_matches_reference_at_benchmark_scale():
     assert _bits(shift) == _bits(ref_shift)
     assert len(prepared.tables) == len(ref_prepared.tables) == 4900
     assert all(t.tobytes() == r.tobytes() for t, r in zip(prepared.tables, ref_prepared.tables))
+
+
+def _rebuilt(m):
+    """A model rebuilt from another's parts, as the benchmark's `fresh` does."""
+    return PairwiseMRF(m.cardinalities, m.edges, m.tables, m.unaries)
+
+
+def _check_groups(m):
+    """Every edge is one row of one read-only C-contiguous group, whose row is `m.tables[e]`."""
+    assert sorted(np.concatenate([np.zeros(0, int), *(idx for *_, idx, _ in m.groups)]).tolist()) == \
+        list(range(len(m.edges)))
+    for ki, kj, idx, stack in m.groups:
+        assert stack.shape == (len(idx), ki, kj) and stack.dtype == float
+        assert stack.flags.c_contiguous and not stack.flags.writeable
+        for e, row in zip(idx.tolist(), stack):
+            assert m.tables[e].tobytes() == row.tobytes() and np.shares_memory(m.tables[e], row)
+    assert [g[:2] for g in m.groups] == sorted(g[:2] for g in m.groups)
+
+
+class TestTableGroups:
+    def test_callers_array_stays_writeable_and_unshared(self):
+        A = np.ones((2, 2))
+        m = PairwiseMRF((2, 2), ((0, 1),), (A,))
+        assert A.flags.writeable and not np.shares_memory(m.tables[0], A)
+        A[0, 0] = 5.0
+        assert evaluate_assignment(m, (0, 0)) == 1.0
+
+    def test_rows_of_a_writeable_stack_are_copied(self):
+        B = np.arange(12.0).reshape(3, 2, 2)
+        m = PairwiseMRF((2,) * 4, ((0, 1), (1, 2), (2, 3)), tuple(B))
+        before = evaluate_assignment(m, np.zeros((1, 4), dtype=int))
+        B[0, 0, 0] = 100.0
+        assert B.flags.writeable and not np.shares_memory(m.groups[0][3], B)
+        assert evaluate_assignment(m, np.zeros((1, 4), dtype=int)).tobytes() == before.tobytes()
+        _check_groups(m)
+
+    def test_read_only_stack_is_kept_only_whole_and_in_order(self):
+        B = np.arange(12.0).reshape(3, 2, 2).copy()  # owns its memory
+        B.flags.writeable = False
+        edges, rows = ((0, 1), (1, 2), (2, 3)), tuple(B)
+        kept = PairwiseMRF((2,) * 4, edges, rows)
+        assert kept.groups[0][3].base is B and all(np.shares_memory(t, r) for t, r in zip(kept.tables, rows))
+        view = np.arange(12.0).reshape(3, 2, 2)  # read-only, but its writeable owner is not
+        view.flags.writeable = False
+        borrowed = np.frombuffer(bytearray(B.tobytes())).reshape(3, 2, 2)  # read-only, but its bytearray is not
+        borrowed.base.flags.writeable = False
+        for rows in ((B[1], B[0], B[2]), (B[0], B[1], B[1]), (B[0], B[1], B[2].T), tuple(B[:2]) + (B[2].copy(),),
+                     tuple(view), tuple(borrowed)):
+            copied = PairwiseMRF((2,) * 4, edges, rows)
+            assert not any(np.shares_memory(copied.groups[0][3], r) for r in rows)
+            assert all(t.tobytes() == np.ascontiguousarray(r).tobytes() for t, r in zip(copied.tables, rows))
+        reversed_edge = PairwiseMRF((2, 3), ((1, 0),), (np.arange(6.0).reshape(3, 2),))
+        assert reversed_edge.tables[0].tobytes() == np.arange(6.0).reshape(3, 2).T.copy().tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_random_mrf(8, 5, 0.6, seed=3),
+        lambda: gen_ising_grid(IsingSpec(4, 5, 1.0, seed=2)),
+        lambda: mixed_cardinality_mrf(np.random.default_rng(4)),
+        lambda: prepare_model(gen_ising_grid(IsingSpec(4, 5, 1.0, seed=2)))[0],
+        lambda: parse_uai(write_uai(gen_ising_grid(IsingSpec(4, 5, 1.0, seed=2)))),
+    ], ids=["random", "ising", "mixed", "prepared", "parsed"])
+    def test_rebuild_copies_nothing(self, make):
+        m = make()
+        again = _rebuilt(m)
+        _check_groups(m)
+        _check_groups(again)
+        assert len(again.groups) == len(m.groups)
+        assert all(np.shares_memory(g[3], again_g[3]) for g, again_g in zip(m.groups, again.groups))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1))
+    def test_prepared_groups_hold_the_prepared_tables(self, seed):
+        # a group partly rewritten keeps its other rows as runs of its stack
+        for m in _scoring_models(np.random.default_rng(seed))[:2]:
+            _check_groups(m)
+            _check_groups(prepare_model(m)[0])
+
+
+def test_packed_graph_adopts_a_single_group():
+    prepared = prepare_model(gen_random_mrf(20, 64, 1.0))[0]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        graph = PackedGraph(prepared)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    (*_, stack), = prepared.groups
+    assert retained - base < 0.1 * stack.nbytes
+    assert graph.tables is stack and not graph.tables.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        graph.tables[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_ising_grid(IsingSpec(5, 6, 1.0, seed=1)),  # every table rewritten: the new stack
+    lambda: parse_uai(write_uai(gen_ising_grid(IsingSpec(5, 6, 1.0, seed=1)))),
+    lambda: gen_random_mrf(6, 3, 0.7, seed=2),  # nothing rewritten: the generator's stack
+])
+def test_packed_graph_adopts_the_prepared_stack(make):
+    prepared = prepare_model(make())[0]
+    (*_, stack), = prepared.groups
+    assert PackedGraph(prepared).tables is stack
+
+
+def test_padded_mixed_model_with_unaries_packs_per_edge():
+    # nonnegative tables but every third, and a unary on the last node: groups partly rewritten
+    base = mixed_cardinality_mrf(np.random.default_rng(8), n_max=7, k_max=4)
+    tables = tuple(t if e % 3 == 0 else np.abs(t) for e, t in enumerate(base.tables))
+    m = PairwiseMRF(base.cardinalities, base.edges, tables, {base.num_nodes - 1: np.full(base.cardinalities[-1], 0.25)})
+    prepared = prepare_model(m)[0]
+    assert len({g[:2] for g in prepared.groups}) > 1 and len(prepared.groups) > len(m.groups)
+    graph = PackedGraph(prepared)
+    assert graph.padded and not graph.tables.flags.writeable
+    assert graph.tables.tobytes() == pack_tables_per_edge(prepared)[0].tobytes()
