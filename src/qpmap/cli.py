@@ -1,7 +1,7 @@
 """Command-line interface: solve UAI files, generate instances, run benchmarks.
 
-Exit codes: 0 success, 2 input/parse problem, 3 degenerate or unsupported
-model (message names the offending node).
+Exit codes: 0 success, 2 input/parse problem or a model or plan too large
+to allocate, 3 degenerate or unsupported model (message names the offending node).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import bench, model, uai
 from .bench import SOLVERS, BenchPlan
 from .common import SolverConfig, SolveReport
 from .generators import IsingSpec, gen_ising_grid, gen_random_mrf
-from .model import DegenerateNodeError, ModelError, PairwiseMRF
+from .model import ModelError, PairwiseMRF
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -80,7 +80,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         report = solve(mrf, config)
         elapsed = time.perf_counter() - t0
-    except (DegenerateNodeError, ModelError) as exc:
+    except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except MemoryError as exc:  # arrays sized by the file's largest cardinality
@@ -208,7 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:  # a model or plan sized past what numpy can allocate; nothing is written
+        print(f"error: too large to allocate: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ class _Sweep:
             node = int(np.argwhere(C <= 0.0)[0][-1])  # first in restart, then node order
             raise DegenerateNodeError(node, "zero total incoming weight (C = 0)")
         new = numer / C[..., None]
-        self.underflows += int(np.count_nonzero(self.graph.valid & (P > 0.0) & (new <= UNDERFLOW_FLOOR)))
+        self.underflows += int(np.count_nonzero((P > 0.0) & (new <= UNDERFLOW_FLOOR)))
         S = self.graph.delta_sums(new)
         return new, S, self.graph.qp_objective(new, S)
 

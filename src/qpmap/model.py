@@ -7,8 +7,8 @@ transpose view, never a copy.  The tables live in per-shape groups, each a
 read-only (edges, k_i, k_j) stack, and `tables` is their rows in edge order.
 Per-edge arrays passed by a caller are copied once, at construction, into
 those stacks, so a model is immutable and shares no memory with a writeable
-array; only rows that already are one read-only stack, in order (a
-generator's, another model's), are kept as they are.
+array; rows that already are one read-only stack, in order (a generator's,
+another model's), are not copied: that stack becomes their group.
 """
 
 from __future__ import annotations
@@ -131,12 +131,10 @@ class PairwiseMRF:
             if stack is None:  # the one copy: the caller's arrays stay theirs, and writeable
                 stack = np.array(rows)
                 stack.flags.writeable = False
-                for e, row in zip(idx.tolist(), stack):
-                    canon_tables[e] = row
             groups.append((ki, kj, idx, stack))
         _check_finite(groups, lambda e: "edge ({},{}) table".format(*canon_edges[e]))
         object.__setattr__(self, "edges", tuple(canon_edges))
-        object.__setattr__(self, "tables", tuple(canon_tables))
+        object.__setattr__(self, "tables", rows_in_order(groups, len(canon_edges)))
         object.__setattr__(self, "groups", tuple(groups))
         object.__setattr__(self, "cardinalities", tuple(int(k) for k in self.cardinalities))
         if self.unaries is not None:
@@ -217,10 +215,10 @@ def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
 
     Each unary u_i is split evenly over node i's incident tables (u_i/deg(i)
     added to the rows of each, u_j/deg(j) to the columns), then each table
-    is shifted so its minimum entry is 0.  Both steps work a group at a time:
-    a group that needs neither step is passed through, one whose every table
-    changes is replaced by the new stack, and a table that needs neither step
-    is reused, not copied.
+    is shifted so its minimum entry is 0.  One walk over the groups does both:
+    in each it reads the untouched tables' minima in place, then copies,
+    rewrites, shifts and checks only the tables that change.  A group or a
+    table that needs neither step is passed through or reused, not copied.
     Returns the prepared model and the total shift: for every assignment,
     the original objective equals the prepared one minus the shift.  A
     rewritten table or a total shift that overflows is UnsupportedModelError.
@@ -238,23 +236,19 @@ def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
     share[has[:, None] & (np.arange(cards.max()) < cards[:, None])] = np.concatenate(
         [np.zeros(0), *(unaries[i] for i in sorted(unaries))])
     share /= np.maximum(deg, 1)[:, None]
-    touched = has[src] | has[tgt]
-    # an untouched table's minimum is read in place, a group at a time: only tables that change are copied
-    lo = np.zeros(len(src))
-    for *_, idx, stack in mrf.groups:
-        if not touched[idx].all():
-            lo[idx] = np.where(touched[idx], 0.0, stack.reshape(len(idx), -1).min(axis=1))
-    rewrite, groups = touched | (lo < 0.0), []
+    touched, lo, groups = has[src] | has[tgt], np.zeros(len(src)), []
     pool, pick = list(mrf.tables), np.arange(len(src))  # the tables: pool[pick[e]] for edge e
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported, naming its edge
         for ki, kj, idx, stack in mrf.groups:
-            if not (redo := rewrite[idx]).any():
+            if not (redo := touched[idx]).all():  # an untouched table's minimum is read in place
+                redo |= stack.reshape(len(idx), -1).min(axis=1) < 0.0
+            if not redo.any():
                 groups.append((ki, kj, idx, stack))
                 continue
             keep = np.flatnonzero(~redo)  # the rows kept, as runs of consecutive rows of the stack
             runs = np.split(keep, np.flatnonzero(np.diff(keep) > 1) + 1) if keep.size else []
             groups += [(ki, kj, idx[r], stack[r[0]:r[-1] + 1]) for r in runs]
-            idx, group = idx[redo], stack[redo]
+            idx, group = idx[redo], stack[redo]  # only the tables that change are copied
             rows, cols = src[idx], tgt[idx]
             np.add(group, share[rows, :ki, None], out=group, where=has[rows, None, None])
             np.add(group, share[cols, None, :kj], out=group, where=has[cols, None, None])

@@ -116,7 +116,7 @@ class Diagnostics:
         counts = np.bincount(passes.ravel())
         for v in np.flatnonzero(counts).tolist():
             self.inner_pass_hist[v] = self.inner_pass_hist.get(v, 0) + int(counts[v])
-        on = valid & (P > 0.0)
+        on = P > 0.0  # padded beliefs are exactly 0, so `on` holds only valid labels
         resid = np.abs(denom * P - grad + lam[..., None])[on]
         self.max_stationarity_residual = max(self.max_stationarity_residual, float(resid.max(initial=0.0)))
         mu = (lam[..., None] - grad)[valid & ~on]

@@ -93,6 +93,26 @@ class TestSolve:
         assert run.stderr.startswith(f"error: {p}: model too large: Unable to allocate 48.0 GiB")
         assert run.stderr.count("\n") == 1 and not run.stdout
 
+    @pytest.mark.parametrize("argv, made", [
+        (["generate", "random", "--nodes", "3", "--labels", "20000", "--output", "big.uai"], "big.uai"),
+        (["bench", "--sizes", "40000x40000", "--betas", "1", "--instances", "1", "--output-dir", "out"],
+         "out/summary.csv"),
+    ])
+    def test_unallocatable_command_is_input_error(self, tmp_path, argv, made):
+        # 3 tables of 20000^2 labels, 8.94 GiB, or a grid of 1.6e9 nodes, under a 4 GiB address-space cap
+        cap = 4 << 30
+        env = {**os.environ, "PYTHONPATH": str(Path(qpmap.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+        run = subprocess.run(
+            [sys.executable, "-m", "qpmap.cli", *argv], cwd=tmp_path,
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert run.returncode == cli.EXIT_PARSE
+        assert run.stderr.startswith("error: too large to allocate: ")
+        assert run.stderr.count("\n") == 1 and not run.stdout and not (tmp_path / made).exists()
+        if argv[0] == "generate":
+            assert "Unable to allocate 8.94 GiB" in run.stderr
+
     def test_degenerate_model(self, tmp_path, capsys):
         m = PairwiseMRF((2, 2), ((0, 1),), (np.zeros((2, 2)),))
         p = tmp_path / "zero.uai"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpmap.common import SolverConfig
 from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from qpmap.model import (
     InvalidAssignmentError,
@@ -35,6 +36,10 @@ from oracles import (
 
 def two_node(table=((2.0, 0.0), (0.0, 1.0))):
     return PairwiseMRF((2, 2), ((0, 1),), (np.array(table),))
+
+
+def two_node_with(unaries):
+    return PairwiseMRF((2, 2), ((0, 1),), (np.ones((2, 2)),), unaries)
 
 
 def chain3_identity():
@@ -227,6 +232,25 @@ class TestModelValidation:
     def test_duplicate_edge(self):
         with pytest.raises(ModelError):
             PairwiseMRF((2, 2), ((0, 1), (1, 0)), (np.ones((2, 2)), np.ones((2, 2))))
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: PairwiseMRF((2, 0), (), ()), ModelError, "cardinalities must be >= 1"),
+        (lambda: PairwiseMRF((2, 2), ((0, 1),), ()), ModelError, "edges and tables must align"),
+        (lambda: PairwiseMRF((2, 2), ((0, 1),), (np.ones(4),)), ModelError, "edge table must be 2-D, got shape (4,)"),
+        (lambda: PairwiseMRF((2, 2), ((0, 2),), (np.ones((2, 2)),)), ModelError, "edge (0,2) out of range"),
+        (lambda: PairwiseMRF((2, 3), ((1, 0),), (np.ones((2, 3)),)), ModelError,
+         "edge (0,1) table shape (3, 2) != (2,3)"),
+        (lambda: two_node_with({2: np.zeros(2)}), ModelError, "unary on node 2 out of range"),
+        (lambda: two_node_with({1: np.zeros(3)}), ModelError, "unary on node 1 has shape (3,)"),
+        (lambda: evaluate_assignment(two_node(), [0, 1, 0]), InvalidAssignmentError, "assignment length (3,) != (2,)"),
+        (lambda: SolverConfig(init="zeros"), ValueError,
+         "init must be one of ('uniform', 'uniform-perturbed', 'random-dirichlet')"),
+    ], ids=["cardinality", "align", "2-D", "edge-range", "table-shape", "unary-range", "unary-shape",
+            "assignment-length", "init"])
+    def test_invalid_input_message(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert str(exc.value) == message
 
     def test_transpose_view(self):
         m = PairwiseMRF((2, 3), ((0, 1),), (np.arange(6.0).reshape(2, 3),))

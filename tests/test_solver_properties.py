@@ -4,17 +4,21 @@
 tables and the unaries on leaves come from `np.random.default_rng(seed)`.
 Every solve must end on the simplex, trace an objective that never
 decreases (bilinear for CCCP and GP-EM, relaxed for convex) and certify its
-node updates with a small stationarity residual.
+node updates with a small stationarity residual.  On models with padded
+labels, every sweep must leave every padded belief at exactly +0.0.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qpmap import cccp, convex, gpem
 from qpmap.common import SolverConfig
-from qpmap.model import NONNEG_TOL, SIMPLEX_SUM_TOL, PairwiseMRF
+from qpmap.model import NONNEG_TOL, SIMPLEX_SUM_TOL, DegenerateNodeError, PairwiseMRF
+from qpmap.packed import Diagnostics
 
 SOLVERS = {"cccp": (cccp.solve, "qp_objective"), "convex": (convex.solve_convex, "convex_objective"),
            "gpem": (gpem.solve_gp, "qp_objective")}
@@ -45,3 +49,42 @@ def test_simplex_monotone_and_stationary(solver, cards, seed):
     vals = [getattr(t, key) for t in rep.trace]
     assert all(b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
     assert rep.diagnostics.max_stationarity_residual <= 1e-8
+
+
+def assert_padded_zero(P, valid):
+    """Every padded belief of the stack P is +0.0: the one float whose bits are all zero."""
+    assert not P[..., ~valid].view(np.uint64).any()
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.one_of(*(st.lists(st.integers(1, k), min_size=2, max_size=9) for k in (2, 6))).filter(
+    lambda c: min(c) < max(c)), st.integers(0, 2**32 - 1))  # binary models with one-label nodes, and wider ones
+def test_padded_beliefs_stay_exactly_zero(solver, cards, seed):
+    # GP-EM's underflow count and Diagnostics.certify test `P > 0.0` with no validity
+    # mask: they count the same entries as `valid & (P > 0.0)` only while this holds
+    module = {"cccp": cccp, "convex": convex, "gpem": gpem}[solver]
+    real_restarts, real_certify, sweeps, certified = module.relaxation_restarts, Diagnostics.certify, [], []
+
+    def relaxation_restarts(graph, shift, config, sweep, *d):
+        def checked(P, S, q, live, diag):
+            assert_padded_zero(P, graph.valid)
+            out = sweep(P, S, q, live, diag)
+            assert_padded_zero(out[0], graph.valid)
+            sweeps.append(len(live))
+            return out
+        return real_restarts(graph, shift, config, checked, *d)
+
+    def certify(self, P, grad, denom, valid, lam, passes):
+        assert_padded_zero(P, valid)
+        certified.append(P.shape)
+        real_certify(self, P, grad, denom, valid, lam, passes)
+
+    with mock.patch.object(module, "relaxation_restarts", relaxation_restarts), \
+            mock.patch.object(Diagnostics, "certify", certify):
+        try:
+            SOLVERS[solver][0](random_model(cards, seed),
+                               SolverConfig(restarts=2, seed=seed, max_outer_iterations=60, collect_diagnostics=True))
+        except DegenerateNodeError:  # a one-label node can be left with no weight
+            assume(False)
+    assert sweeps and (solver == "gpem" or certified)
