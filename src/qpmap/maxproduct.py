@@ -145,7 +145,7 @@ def solve_mp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None,
         logb = np.where(graph.valid, final[1][w].T, -np.inf)
         b = np.exp(logb - logb.max(axis=1, keepdims=True))
         b /= b.sum(axis=1, keepdims=True)
-        return graph.unpack_beliefs(np.where(graph.valid, b, 0.0)), finals
+        return graph.unpack_beliefs(b), finals
 
     R = config.restarts
     # restart r's noise is drawn (|E|, 2, kmax): edge e's src->tgt, then tgt->src message

@@ -69,6 +69,13 @@ def _stack_of(rows: List[np.ndarray]) -> Optional[np.ndarray]:
     return base.reshape((len(rows),) + rows[0].shape) if ordered else None
 
 
+def _integers(xs: Sequence, name: Callable[[int], str]) -> Tuple[int, ...]:
+    """`xs` as Python ints; ModelError naming (`name(position)`) the first bool or non-integer."""
+    if bad := [p for p, x in enumerate(xs) if isinstance(x, bool) or not isinstance(x, (int, np.integer))]:
+        raise ModelError(f"{name(bad[0])} is not an integer")
+    return tuple(map(int, xs))
+
+
 def rows_in_order(groups: Iterable[Group], count: int) -> tuple:
     """The rows of the groups' stacks, as the tuple of the `count` positions they fill."""
     pool, pick = [], np.empty(count, dtype=int)  # row t of the tuple is pool[pick[t]]
@@ -82,12 +89,13 @@ def rows_in_order(groups: Iterable[Group], count: int) -> tuple:
 class PairwiseMRF:
     """Undirected pairwise model.
 
-    cardinalities: per-node label count k_i.
-    edges: unordered node pairs, stored canonically with i < j.
-    tables: one dense k_i x k_j array per edge, aligned with `edges`.
-    unaries: optional per-node vectors; `prepare_model` folds them into the tables.
+    cardinalities: per-node label count k_i, an integer (Python or numpy, not bool).
+    edges: unordered pairs of integer nodes, stored canonically with i < j.
+    tables: one dense real k_i x k_j array per edge, aligned with `edges`.
+    unaries: optional real vectors keyed by integer node; `prepare_model` folds them into the tables.
     groups: the stacks `tables` are rows of, in ascending (k_i, k_j) order;
-        the constructor makes one per table shape.
+        every model holds one per table shape.
+    Every node index and cardinality is stored as a Python int.
     """
 
     cardinalities: Tuple[int, ...]
@@ -97,15 +105,19 @@ class PairwiseMRF:
     groups: Tuple[Group, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.cardinalities)
-        if any(k < 1 for k in self.cardinalities):
+        cards = _integers(self.cardinalities, lambda i: f"node {i} cardinality {self.cardinalities[i]!r}")
+        if any(k < 1 for k in cards):
             raise ModelError("cardinalities must be >= 1")
+        n = len(cards)
         canon_edges: List[Tuple[int, int]] = []
         canon_tables: List[np.ndarray] = []
         seen = set()
         if len(self.edges) != len(self.tables):
             raise ModelError("edges and tables must align")
         for (i, j), t in zip(self.edges, self.tables):
+            i, j = _integers((i, j), lambda p: f"edge ({i},{j}) endpoint {(i, j)[p]!r}")
+            if np.iscomplexobj(t):  # never cut to its real part
+                raise ModelError(f"edge ({i},{j}) table is complex")
             t = np.asarray(t, dtype=float)
             if t.ndim != 2:
                 raise ModelError(f"edge table must be 2-D, got shape {t.shape}")
@@ -118,11 +130,8 @@ class PairwiseMRF:
             if (i, j) in seen:
                 raise ModelError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
-            if t.shape != (self.cardinalities[i], self.cardinalities[j]):
-                raise ModelError(
-                    f"edge ({i},{j}) table shape {t.shape} != "
-                    f"({self.cardinalities[i]},{self.cardinalities[j]})"
-                )
+            if t.shape != (cards[i], cards[j]):
+                raise ModelError(f"edge ({i},{j}) table shape {t.shape} != ({cards[i]},{cards[j]})")
             canon_edges.append((i, j))
             canon_tables.append(t)
         shapes, groups = np.array([t.shape for t in canon_tables], dtype=int).reshape(-1, 2), []
@@ -136,14 +145,17 @@ class PairwiseMRF:
         object.__setattr__(self, "edges", tuple(canon_edges))
         object.__setattr__(self, "tables", rows_in_order(groups, len(canon_edges)))
         object.__setattr__(self, "groups", tuple(groups))
-        object.__setattr__(self, "cardinalities", tuple(int(k) for k in self.cardinalities))
+        object.__setattr__(self, "cardinalities", cards)
         if self.unaries is not None:
             clean: Dict[int, np.ndarray] = {}
-            for i, u in self.unaries.items():
+            keys = tuple(self.unaries)
+            for i, u in zip(_integers(keys, lambda p: f"unary key {keys[p]!r}"), self.unaries.values()):
+                if np.iscomplexobj(u):
+                    raise ModelError(f"unary on node {i} is complex")
                 u = np.asarray(u, dtype=float)
                 if not (0 <= i < n):
                     raise ModelError(f"unary on node {i} out of range")
-                if u.shape != (self.cardinalities[i],):
+                if u.shape != (cards[i],):
                     raise ModelError(f"unary on node {i} has shape {u.shape}")
                 u = u.copy()
                 u.flags.writeable = False
@@ -201,11 +213,10 @@ def shape_groups(rows: np.ndarray, cols: np.ndarray) -> Iterator[Tuple[int, int,
         yield (*divmod(code, base), np.flatnonzero(shape == code))
 
 
-def _trusted(cardinalities, edges, groups, unaries=None, tables=None) -> PairwiseMRF:
-    """A model from valid, canonical parts and read-only groups, not validated again;
-    `tables` is the groups' rows in edge order unless given."""
+def _trusted(cardinalities, edges, groups, unaries=None) -> PairwiseMRF:
+    """A model from valid, canonical parts and read-only groups, one per shape, not validated again."""
     mrf = object.__new__(PairwiseMRF)
-    tables = rows_in_order(groups, len(edges)) if tables is None else tables
+    tables = rows_in_order(groups, len(edges))
     mrf.__dict__.update(cardinalities=cardinalities, edges=edges, tables=tables, unaries=unaries, groups=tuple(groups))
     return mrf
 
@@ -215,10 +226,10 @@ def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
 
     Each unary u_i is split evenly over node i's incident tables (u_i/deg(i)
     added to the rows of each, u_j/deg(j) to the columns), then each table
-    is shifted so its minimum entry is 0.  One walk over the groups does both:
-    in each it reads the untouched tables' minima in place, then copies,
-    rewrites, shifts and checks only the tables that change.  A group or a
-    table that needs neither step is passed through or reused, not copied.
+    is shifted so its minimum entry is 0.  One walk over the groups does both,
+    a group at a time: a group no unary touches and with no negative entry is
+    kept as it is, and any other is copied once, whole, then rewritten,
+    shifted and checked, so the prepared model holds one group per table shape.
     Returns the prepared model and the total shift: for every assignment,
     the original objective equals the prepared one minus the shift.  A
     rewritten table or a total shift that overflows is UnsupportedModelError.
@@ -237,19 +248,12 @@ def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
         [np.zeros(0), *(unaries[i] for i in sorted(unaries))])
     share /= np.maximum(deg, 1)[:, None]
     touched, lo, groups = has[src] | has[tgt], np.zeros(len(src)), []
-    pool, pick = list(mrf.tables), np.arange(len(src))  # the tables: pool[pick[e]] for edge e
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported, naming its edge
         for ki, kj, idx, stack in mrf.groups:
-            if not (redo := touched[idx]).all():  # an untouched table's minimum is read in place
-                redo |= stack.reshape(len(idx), -1).min(axis=1) < 0.0
-            if not redo.any():
+            if not touched[idx].any() and stack.min() >= 0.0:  # kept, its minimum read in place
                 groups.append((ki, kj, idx, stack))
                 continue
-            keep = np.flatnonzero(~redo)  # the rows kept, as runs of consecutive rows of the stack
-            runs = np.split(keep, np.flatnonzero(np.diff(keep) > 1) + 1) if keep.size else []
-            groups += [(ki, kj, idx[r], stack[r[0]:r[-1] + 1]) for r in runs]
-            idx, group = idx[redo], stack[redo]  # only the tables that change are copied
-            rows, cols = src[idx], tgt[idx]
+            group, rows, cols = stack.copy(), src[idx], tgt[idx]
             np.add(group, share[rows, :ki, None], out=group, where=has[rows, None, None])
             np.add(group, share[cols, None, :kj], out=group, where=has[cols, None, None])
             lo[idx] = low = group.min(axis=(1, 2))
@@ -259,11 +263,8 @@ def prepare_model(mrf: PairwiseMRF) -> Tuple[PairwiseMRF, float]:
                 raise UnsupportedModelError("edge ({},{}): prepared table is not finite".format(*mrf.edges[bad]))
             group.flags.writeable = False
             groups.append((ki, kj, idx, group))
-            pick[idx] = len(pool) + np.arange(len(idx))
-            pool.extend(group)
         running = np.cumsum(np.append(0.0, -lo[lo < 0.0]))  # summed in edge order
     if not np.isfinite(running[-1]):
         e = np.flatnonzero(lo < 0.0)[np.argmin(np.isfinite(running[1:]))]
         raise UnsupportedModelError("edge ({},{}): total shift is not finite".format(*mrf.edges[e]))
-    tables = tuple(map(pool.__getitem__, pick.tolist()))
-    return _trusted(mrf.cardinalities, mrf.edges, groups, tables=tables), float(running[-1])
+    return _trusted(mrf.cardinalities, mrf.edges, groups), float(running[-1])

@@ -343,7 +343,6 @@ def clamped_simplex_sweep(
     inv = np.where(active, 1.0 / safe_denom, 0.0)
     passes = np.ones(rows, dtype=int)
     lam_prev = np.full(rows, -np.inf)
-    P = np.zeros_like(grad)
     for _ in range(max(grad.shape[-1], 1)):
         den = label_sum(inv)
         num = label_sum(grad * inv) - 1.0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpmap import cli
 from qpmap.common import SolverConfig
 from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from qpmap.model import (
@@ -139,7 +140,8 @@ class TestNormalizeNonnegative:
     def test_nonnegative_unchanged(self):
         m = two_node()
         shifted, shift = prepare_model(m)
-        assert shifted.tables[0] is m.tables[0]
+        assert shifted.groups[0][3] is m.groups[0][3]
+        assert np.shares_memory(shifted.tables[0], m.tables[0])
         assert shift == 0.0
 
     def test_ising_edge(self):
@@ -201,12 +203,13 @@ class TestAbsorbUnary:
             prepare_model(m)
 
     def test_untouched_table_reused(self):
-        # only the table next to the unary node is new
+        # table 1 shares the (2, 2) group the unary touches, so it is copied with that group, unchanged
         eye = np.eye(2)
         m = PairwiseMRF((2, 2, 2), ((0, 1), (1, 2)), (eye, 2 * eye), {0: np.array([0.4, 0.0])})
         out, _ = prepare_model(m)
-        assert out.tables[0] is not m.tables[0]
-        assert out.tables[1] is m.tables[1]
+        (*_, stack), = out.groups
+        assert out.tables[1].tobytes() == m.tables[1].tobytes()
+        assert not np.shares_memory(stack, m.groups[0][3])
 
 
 class TestDecode:
@@ -251,6 +254,33 @@ class TestModelValidation:
         with pytest.raises(error) as exc:
             build()
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PairwiseMRF((2, 2), ((False, True),), (np.eye(2),)),
+         "edge (False,True) endpoint False is not an integer"),
+        (lambda: PairwiseMRF((2, 2), ((0, 1.0),), (np.eye(2),)), "edge (0,1.0) endpoint 1.0 is not an integer"),
+        (lambda: two_node_with({True: np.zeros(2)}), "unary key True is not an integer"),
+        (lambda: two_node_with({0.0: np.zeros(2)}), "unary key 0.0 is not an integer"),
+        (lambda: PairwiseMRF((2, "2"), (), ()), "node 1 cardinality '2' is not an integer"),
+        (lambda: PairwiseMRF((True, 2), (), ()), "node 0 cardinality True is not an integer"),
+        (lambda: PairwiseMRF((2, 2), ((1, 0),), (np.eye(2) + 1j,)), "edge (1,0) table is complex"),
+        (lambda: two_node_with({1: [1.0, 1j]}), "unary on node 1 is complex"),
+    ], ids=["bool-edge", "float-edge", "bool-key", "float-key", "str-cardinality", "bool-cardinality",
+            "complex-table", "complex-unary"])
+    def test_indices_are_integers_and_potentials_real(self, build, message):
+        with pytest.raises(ModelError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_numpy_int_indices_round_trip(self):
+        i = np.int64
+        m = PairwiseMRF((i(2), np.int32(3), i(2)), ((i(1), i(0)), (i(1), i(2))),
+                        (np.arange(6.0).reshape(3, 2), np.ones((3, 2))), {np.uint8(2): np.array([0.5, -0.5])})
+        assert all(type(x) is int for x in (*m.cardinalities, *itertools.chain(*m.edges), *m.unaries))
+        back = parse_uai(write_uai(m))
+        assert back.cardinalities == m.cardinalities and back.edges == m.edges == ((0, 1), (1, 2))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(back.tables, m.tables))
+        assert list(back.unaries) == [2] and back.unaries[2].tobytes() == m.unaries[2].tobytes()
 
     def test_transpose_view(self):
         m = PairwiseMRF((2, 3), ((0, 1),), (np.arange(6.0).reshape(2, 3),))
@@ -362,11 +392,12 @@ def test_prepare_model_is_exact_on_mixed_models(seed):
     ref, ref_shift = prepare_model_reference(m)
     assert shift == ref_shift
     assert prepared.edges == ref.edges and prepared.cardinalities == ref.cardinalities
+    # a group is kept exactly where no table of its shape has a unary at either end or a negative entry
+    copied = {t.shape for (i, j), t in zip(m.edges, m.tables) if i in unaries or j in unaries or t.min() < 0.0}
     for (i, j), t, r, orig in zip(m.edges, prepared.tables, ref.tables, m.tables):
         assert t.shape == r.shape and t.tobytes() == r.tobytes()
         assert not t.flags.writeable
-        # reused exactly where the reference returns the table as it was: no unary at either end, no negative entry
-        assert (t is orig) == (i not in unaries and j not in unaries and orig.min() >= 0.0)
+        assert np.shares_memory(t, orig) == (orig.shape not in copied)
     assert not prepared.unaries
     u = [unaries.get(i, np.zeros(k)) / len(nbrs)
          for i, (k, nbrs) in enumerate(zip(m.cardinalities, adjacency(m)))]
@@ -452,7 +483,8 @@ def _rebuilt(m):
 
 
 def _check_groups(m):
-    """Every edge is one row of one read-only C-contiguous group, whose row is `m.tables[e]`."""
+    """Every edge is one row of one read-only C-contiguous group, whose row is `m.tables[e]`;
+    there is one group per table shape."""
     assert sorted(np.concatenate([np.zeros(0, int), *(idx for *_, idx, _ in m.groups)]).tolist()) == \
         list(range(len(m.edges)))
     for ki, kj, idx, stack in m.groups:
@@ -460,7 +492,7 @@ def _check_groups(m):
         assert stack.flags.c_contiguous and not stack.flags.writeable
         for e, row in zip(idx.tolist(), stack):
             assert m.tables[e].tobytes() == row.tobytes() and np.shares_memory(m.tables[e], row)
-    assert [g[:2] for g in m.groups] == sorted(g[:2] for g in m.groups)
+    assert [g[:2] for g in m.groups] == sorted({g[:2] for g in m.groups})
 
 
 class TestTableGroups:
@@ -516,7 +548,7 @@ class TestTableGroups:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1))
     def test_prepared_groups_hold_the_prepared_tables(self, seed):
-        # a group partly rewritten keeps its other rows as runs of its stack
+        # a group a unary touches is copied whole, its untouched rows too
         for m in _scoring_models(np.random.default_rng(seed))[:2]:
             _check_groups(m)
             _check_groups(prepare_model(m)[0])
@@ -550,12 +582,47 @@ def test_packed_graph_adopts_the_prepared_stack(make):
 
 
 def test_padded_mixed_model_with_unaries_packs_per_edge():
-    # nonnegative tables but every third, and a unary on the last node: groups partly rewritten
+    # nonnegative tables but every third, and a unary on the last node: groups copied whole
     base = mixed_cardinality_mrf(np.random.default_rng(8), n_max=7, k_max=4)
     tables = tuple(t if e % 3 == 0 else np.abs(t) for e, t in enumerate(base.tables))
     m = PairwiseMRF(base.cardinalities, base.edges, tables, {base.num_nodes - 1: np.full(base.cardinalities[-1], 0.25)})
     prepared = prepare_model(m)[0]
-    assert len({g[:2] for g in prepared.groups}) > 1 and len(prepared.groups) > len(m.groups)
+    assert len({g[:2] for g in prepared.groups}) > 1 and len(prepared.groups) == len(m.groups)
     graph = PackedGraph(prepared)
     assert graph.padded and not graph.tables.flags.writeable
     assert graph.tables.tobytes() == pack_tables_per_edge(prepared)[0].tobytes()
+
+
+def _scattered_unary_grid(rows, cols, seed):
+    """A grid with nonnegative tables and unaries on a random half of its nodes."""
+    grid, rng = gen_ising_grid(IsingSpec(rows, cols, 1.0, seed=seed)), np.random.default_rng(seed)
+    nodes = rng.choice(grid.num_nodes, grid.num_nodes // 2, replace=False)
+    return PairwiseMRF(grid.cardinalities, grid.edges, tuple(np.abs(t) for t in grid.tables),
+                       {int(i): grid.unaries[int(i)] for i in sorted(nodes)})
+
+
+def test_scattered_unaries_prepare_to_one_adopted_stack():
+    # the unaries touch some tables of the one (2, 2) group: it is copied whole, and packing adopts it
+    m = _scattered_unary_grid(12, 12, seed=5)
+    prepared, shift = prepare_model(m)
+    ref, ref_shift = prepare_model_reference(m)
+    assert _bits(shift) == _bits(ref_shift)
+    assert all(t.tobytes() == r.tobytes() for t, r in zip(prepared.tables, ref.tables))
+    assert PackedGraph(prepared).tables is prepared.groups[0][3]
+
+
+def _positive_parsed():
+    rng = np.random.default_rng(5)
+    m = PairwiseMRF((2, 3, 2, 3), ((0, 1), (2, 1), (2, 3), (0, 3)), tuple(rng.random((4, 2, 3)) + 0.1),
+                    {1: rng.random(3) + 0.1})
+    return parse_uai(write_uai(m))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cli._log_transform(_positive_parsed()),
+    lambda: prepare_model(_scattered_unary_grid(6, 7, seed=2))[0],
+    lambda: prepare_model(_positive_parsed())[0],  # the unary touches one of the three (2, 3) tables
+], ids=["log-transform", "prepared-grid", "prepared-parsed"])
+def test_every_model_holds_one_group_per_shape(make):
+    # the constructor's and the parser's models: test_rebuild_copies_nothing
+    _check_groups(make())
