@@ -30,7 +30,7 @@ import numpy as np
 from . import model
 from .common import SolverConfig, SolveReport, relaxation_restarts, relative_change, run_restarts
 from .model import PairwiseMRF
-from .packed import PackedGraph, clamped_simplex_sweep, label_sum, row_sums
+from .packed import PackedGraph, clamped_simplex_sweep, label_divide, label_sum, row_sums
 
 
 def _plain_step(graph: PackedGraph, P: np.ndarray, S: np.ndarray, diag=None) -> np.ndarray:
@@ -64,7 +64,7 @@ def _tail_steps(P: np.ndarray, S: np.ndarray, P1: np.ndarray, S1: np.ndarray):
     moved = t != 1.0
     # renormalised: a long step also scales up the rounding in D's row sums
     X = np.maximum(P[moved] + t[moved, None, None] * D[moved], 0.0)
-    return g[moved], X / label_sum(X)[..., None]
+    return g[moved], label_divide(X, label_sum(X))
 
 
 def _sweep_factory(graph: PackedGraph, gate: float, restarts: int):

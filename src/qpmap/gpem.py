@@ -17,7 +17,7 @@ import numpy as np
 from . import model
 from .common import SolverConfig, SolveReport, relaxation_restarts, run_restarts
 from .model import DegenerateNodeError, PairwiseMRF
-from .packed import PackedGraph, label_sum
+from .packed import PackedGraph, label_divide, label_sum
 
 log = logging.getLogger(__name__)
 
@@ -37,7 +37,7 @@ class _Sweep:
         if np.any(C <= 0.0):
             node = int(np.argwhere(C <= 0.0)[0][-1])  # first in restart, then node order
             raise DegenerateNodeError(node, "zero total incoming weight (C = 0)")
-        new = numer / C[..., None]
+        new = label_divide(numer, C)
         self.underflows += int(np.count_nonzero((P > 0.0) & (new <= UNDERFLOW_FLOOR)))
         S = self.graph.delta_sums(new)
         return new, S, self.graph.qp_objective(new, S)

@@ -76,6 +76,17 @@ def _integers(xs: Sequence, name: Callable[[int], str]) -> Tuple[int, ...]:
     return tuple(map(int, xs))
 
 
+def _real(x, what: str) -> np.ndarray:
+    """`x` as a float array; ModelError naming `what` if it is complex (never cut to
+    its real part) or not an array of numbers."""
+    try:
+        if not np.iscomplexobj(x):
+            return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ModelError(f"{what} is not an array of real numbers") from None
+    raise ModelError(f"{what} is complex")
+
+
 def rows_in_order(groups: Iterable[Group], count: int) -> tuple:
     """The rows of the groups' stacks, as the tuple of the `count` positions they fill."""
     pool, pick = [], np.empty(count, dtype=int)  # row t of the tuple is pool[pick[t]]
@@ -114,11 +125,13 @@ class PairwiseMRF:
         seen = set()
         if len(self.edges) != len(self.tables):
             raise ModelError("edges and tables must align")
-        for (i, j), t in zip(self.edges, self.tables):
+        for edge, t in zip(self.edges, self.tables):
+            try:
+                i, j = edge
+            except (TypeError, ValueError):
+                raise ModelError(f"edge {edge!r} is not a pair of nodes") from None
             i, j = _integers((i, j), lambda p: f"edge ({i},{j}) endpoint {(i, j)[p]!r}")
-            if np.iscomplexobj(t):  # never cut to its real part
-                raise ModelError(f"edge ({i},{j}) table is complex")
-            t = np.asarray(t, dtype=float)
+            t = _real(t, f"edge ({i},{j}) table")
             if t.ndim != 2:
                 raise ModelError(f"edge table must be 2-D, got shape {t.shape}")
             if i == j:
@@ -150,9 +163,7 @@ class PairwiseMRF:
             clean: Dict[int, np.ndarray] = {}
             keys = tuple(self.unaries)
             for i, u in zip(_integers(keys, lambda p: f"unary key {keys[p]!r}"), self.unaries.values()):
-                if np.iscomplexobj(u):
-                    raise ModelError(f"unary on node {i} is complex")
-                u = np.asarray(u, dtype=float)
+                u = _real(u, f"unary on node {i}")
                 if not (0 <= i < n):
                     raise ModelError(f"unary on node {i} out of range")
                 if u.shape != (cards[i],):

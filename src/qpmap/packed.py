@@ -5,8 +5,10 @@ R restarts), zero-padded when label counts differ, with a boolean validity
 mask.  Edge tables are one read-only (|E|, kmax, kmax) stack in canonical
 orientation: a model's single unpadded group in edge order is adopted, not
 copied; other models' groups are padded into a new stack one group at a time.
-The reverse orientation is obtained by transposed einsums.  Binary graphs
-(kmax <= 2) also keep a label-major copy of the tables, built on first use.
+The reverse orientation is obtained by transposed einsums.  A binary graph
+(kmax <= 2) makes one gather and one einsum over its 2|E| directed messages
+in the scatter's slot order, from a directed copy of the tables built on first
+use, and the scatter sums each slot of them as one slice.
 
 Per-node reductions over a short label axis are whole-stack operations on
 label slices, not numpy's row-at-a-time loop, and exact: `label_sum` adds
@@ -129,8 +131,10 @@ class SlotScatter:
     Each node adds its entries in ascending `order`, bit for bit as np.add.at
     over them in that order.  Node positions are sorted by descending degree, so
     slot j (every node's j-th entry) fills a prefix of them and takes one slice
-    add.  A slot whose entries times `width` are fewer than MIN_SLOT_ENTRIES
-    is left to one np.add.at, slot after slot: its per-entry cost is lower.
+    add; `order_cols` lists the entries slot after slot, so after one gather by
+    it each slot is a slice too.  A slot whose entries times `width` are fewer
+    than MIN_SLOT_ENTRIES is left to one np.add.at, slot after slot: its
+    per-entry cost is lower.
     """
 
     MIN_SLOT_ENTRIES = 32
@@ -143,24 +147,27 @@ class SlotScatter:
         by_pos = np.lexsort((order, pos))
         sorted_deg = deg[node_of_pos]
         rank = np.arange(len(targets)) - (np.cumsum(sorted_deg) - sorted_deg)[pos[by_pos]]
-        by_slot = by_pos[np.lexsort((pos[by_pos], rank))]
+        self.order_cols = by_pos[np.lexsort((pos[by_pos], rank))]  # slot after slot, each in position order
         counts = np.bincount(rank, minlength=deg.max(initial=0))
-        slots = np.split(by_slot, np.cumsum(counts)[:-1])
-        n_loop = int(np.sum(counts * width >= self.MIN_SLOT_ENTRIES))
-        self.slots = slots[:n_loop]
-        self.tail_cols = np.concatenate([np.empty(0, dtype=int)] + slots[n_loop:])
-        self.tail_pos = pos[self.tail_cols]
+        lengths = counts[counts * width >= self.MIN_SLOT_ENTRIES]  # a prefix: counts never rise
+        self.slots = list(zip(lengths.tolist(), (np.cumsum(lengths) - lengths).tolist()))
+        self.tail_pos = pos[self.order_cols[lengths.sum():]]
 
     def sum(self, X: np.ndarray, axis: int) -> np.ndarray:
         """Per-node sums of X's entries along `axis`, which becomes the node axis."""
-        axis %= X.ndim
+        return np.take(self.slot_sums(np.take(X, self.order_cols, axis=axis), axis), self.pos_of_node, axis=axis)
+
+    def slot_sums(self, Y: np.ndarray, axis: int) -> np.ndarray:
+        """Per-position sums of Y's entries along `axis`, which are in `order_cols` order:
+        one slice add per slot, then the tail's np.add.at."""
+        axis %= Y.ndim
         lead = (slice(None),) * axis
-        B = np.zeros(X.shape[:axis] + self.pos_of_node.shape + X.shape[axis + 1 :])
-        for cols in self.slots:
-            B[lead + (slice(len(cols)),)] += np.take(X, cols, axis=axis)
-        if len(self.tail_cols):
-            np.add.at(B, lead + (self.tail_pos,), np.take(X, self.tail_cols, axis=axis))
-        return np.take(B, self.pos_of_node, axis=axis)
+        B = np.zeros(Y.shape[:axis] + self.pos_of_node.shape + Y.shape[axis + 1 :])
+        for length, start in self.slots:
+            B[lead + (slice(length),)] += Y[lead + (slice(start, start + length),)]
+        if len(self.tail_pos):
+            np.add.at(B, lead + (self.tail_pos,), Y[lead + (slice(-len(self.tail_pos), None),)])
+        return B
 
 
 class PackedGraph:
@@ -179,6 +186,7 @@ class PackedGraph:
         m = len(mrf.edges)
         self.ends = model.edge_ends(mrf)
         self.src, self.tgt = self.ends.reshape(2, m)
+        self.edge_offsets = np.arange(m) * kmax**2  # where each edge's table starts in the flat stack
         # read-only either way: no sweep writes into the tables, so a model's own stack can serve
         groups = mrf.groups
         if len(groups) == 1 and groups[0][:2] == (kmax, kmax) and np.array_equal(groups[0][2], np.arange(m)):
@@ -244,9 +252,13 @@ class PackedGraph:
         return SlotScatter(np.concatenate([self.tgt, self.src]), order, self.n, self.kmax)
 
     @cached_property
-    def tables_label_major(self) -> np.ndarray:
-        """The tables as a C-contiguous (kmax, kmax, |E|) array, edge axis last."""
-        return np.ascontiguousarray(self.tables.transpose(1, 2, 0))
+    def directed(self) -> tuple:
+        """The directed messages in the scatter's column order: their sources, and their
+        read-only (kmax, kmax, 2|E|) tables, src->tgt along edge e tables[e], tgt->src its transpose."""
+        both = np.concatenate([self.tables.transpose(1, 2, 0), self.tables.transpose(2, 1, 0)], axis=-1)
+        T = np.take(both, self.scatter.order_cols, axis=-1)
+        T.flags.writeable = False
+        return self.ends[self.scatter.order_cols], T
 
     def delta_sums(self, P: np.ndarray) -> np.ndarray:
         """Per-node sum of incoming messages sum_{x_j} theta_ij(x_i,x_j) p_j(x_j),
@@ -254,14 +266,12 @@ class PackedGraph:
         m = len(self.src)
         stack = P.reshape((-1,) + P.shape[-2:])
         if self.kmax <= 2:
-            # all restarts at once, edge axis innermost: two-term sums round the
-            # same in any order, so this is bit-identical; for k >= 3 the
+            # all restarts and both directions at once, in the scatter's slot order: two-term
+            # sums round the same in any order, so this is bit-identical; for k >= 3 the
             # edge-last tgt->src sum is neither bit-identical nor faster (k = 64)
-            T, lm = self.tables_label_major, stack.transpose(0, 2, 1)
-            msgs = np.empty((len(stack), self.kmax, 2 * m))
-            np.einsum("rke,kle->rle", np.take(lm, self.src, axis=-1), T, out=msgs[..., :m])
-            np.einsum("rle,kle->rke", np.take(lm, self.tgt, axis=-1), T, out=msgs[..., m:])
-            S = self.scatter.sum(msgs, axis=-1).transpose(0, 2, 1)
+            sources, T = self.directed
+            msgs = np.einsum("rke,kle->rle", np.take(stack.transpose(0, 2, 1), sources, axis=-1), T)
+            S = np.take(self.scatter.slot_sums(msgs, axis=-1).transpose(0, 2, 1), self.scatter.pos_of_node, axis=1)
         else:
             # one 2-D einsum per restart and direction, one node-major scatter
             msgs = np.empty((2 * m, len(stack), self.kmax))
@@ -283,11 +293,12 @@ class PackedGraph:
     def assignment_value(self, a: np.ndarray) -> float | np.ndarray:
         """Edge-sum objective at an integral assignment, on this model's scale;
         the (R,) values of an (R, n) stack of assignments."""
-        k = self.kmax
         # one flat gather through a C-ordered index (np.take, not a[..., src],
         # which is F-ordered): C-ordered rows sum as the 1-D sum of each row
-        flat = (np.arange(len(self.src)) * k + np.take(a, self.src, axis=-1)) * k + np.take(a, self.tgt, axis=-1)
-        return self.tables.reshape(-1)[flat].sum(axis=-1)
+        flat = np.take(a, self.src, axis=-1) * self.kmax
+        flat += np.take(a, self.tgt, axis=-1)
+        flat += self.edge_offsets
+        return np.take(self.tables.reshape(-1), flat).sum(axis=-1)
 
     def diagonal_terms(self) -> np.ndarray:
         """Per-node d_i(x_i) = sum over neighbors, labels of |theta|/2 on `prepare_model`'s
@@ -308,6 +319,17 @@ def label_sum(X: np.ndarray) -> np.ndarray:
     if total.dtype.kind == "f":
         total += 0.0  # numpy starts from +0.0, so an all -0.0 row sums to +0.0
     return total
+
+
+def label_divide(X: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """`X / d[..., None]`, bit for bit: below PAIRWISE_BLOCK labels, one division
+    per label slice (a broadcast along a short label axis is slower)."""
+    if X.shape[-1] >= PAIRWISE_BLOCK:
+        return X / d[..., None]
+    out = np.empty_like(X)
+    for j in range(X.shape[-1]):
+        np.divide(X[..., j], d, out=out[..., j])
+    return out
 
 
 def row_sums(X: np.ndarray) -> float | np.ndarray:

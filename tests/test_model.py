@@ -272,6 +272,19 @@ class TestModelValidation:
             build()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PairwiseMRF((2, 2), ((0, 1, 2),), (np.eye(2),)), "edge (0, 1, 2) is not a pair of nodes"),
+        (lambda: PairwiseMRF((2, 2), (0,), (np.eye(2),)), "edge 0 is not a pair of nodes"),
+        (lambda: PairwiseMRF((2, 2), ((1, 0),), ([["a", "b"], ["c", "d"]],)),
+         "edge (1,0) table is not an array of real numbers"),
+        (lambda: two_node_with({1: ["x", "y"]}), "unary on node 1 is not an array of real numbers"),
+    ], ids=["triple-edge", "bare-int-edge", "string-table", "string-unary"])
+    def test_malformed_edges_and_potentials_are_model_errors(self, build, message):
+        # not numpy's bare ValueError or TypeError, which name no edge or node
+        with pytest.raises(ModelError) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_numpy_int_indices_round_trip(self):
         i = np.int64
         m = PairwiseMRF((i(2), np.int32(3), i(2)), ((i(1), i(0)), (i(1), i(2))),

@@ -19,6 +19,8 @@ from oracles import (
     decode_per_node,
     delta_sums_add_at,
     mixed_cardinality_mrf,
+    mp_incoming,
+    mp_stack,
     restarts_reference,
 )
 
@@ -30,6 +32,14 @@ def star(leaves, k, seed):
     rng = np.random.default_rng(seed)
     edges = tuple((0, v) for v in range(1, leaves + 1))
     return PairwiseMRF((k,) * (leaves + 1), edges, tuple(rng.uniform(-1.0, 2.0, size=(k, k)) for _ in edges))
+
+
+def signed_zeros():
+    """A binary grid whose tables hold -0.0 entries, a whole row of them in some."""
+    m = gen_ising_grid(IsingSpec(4, 5, 1.0, seed=3))
+    tables = [np.where(t < t.mean(), -0.0, t) for t in prepare_model(m)[0].tables]
+    tables[::3] = [np.array([[-0.0, -0.0], [t[1, 0], t[1, 1]]]) for t in tables[::3]]
+    return PairwiseMRF(m.cardinalities, m.edges, tuple(tables))
 
 
 MODELS = {
@@ -117,9 +127,10 @@ class TestBatchedRestartsThreaded(TestBatchedRestarts):
      PairwiseMRF((1, 1, 1), ((0, 1), (1, 2)), (np.array([[0.5]]), np.array([[-1.5]]))),
      PairwiseMRF((1, 2, 2), ((0, 1), (1, 2), (0, 2)),
                  (np.array([[0.5, -1.0]]), np.array([[0.3, 1.7], [-0.2, 0.9]]), np.array([[2.0, 0.1]]))),
-     PairwiseMRF((2, 2), (), ()), gen_random_mrf(30, 2, 0.3, seed=4)],
+     PairwiseMRF((2, 2), (), ()), gen_random_mrf(30, 2, 0.3, seed=4), signed_zeros(),
+     gen_ising_grid(IsingSpec(50, 50, 1.0, seed=2))],
     ids=["star-k2", "star-k3", "grid", "thin-grid", "random", "mixed", "edgeless",
-         "chain-k1", "binary-with-k1", "edgeless-k2", "random-k2"],
+         "chain-k1", "binary-with-k1", "edgeless-k2", "random-k2", "signed-zeros", "uai-grid-50x50"],
 )
 def test_delta_sums_equal_add_at(m):
     # bit-equal to two np.add.at scatters, one restart at a time, whether a
@@ -129,12 +140,46 @@ def test_delta_sums_equal_add_at(m):
     ref = delta_sums_add_at(g, P)
     assert np.array_equal(g.delta_sums(P), ref)
     assert np.array_equal(g.delta_sums(P[2]), ref[2])
+    assert np.array_equal(g.delta_sums(P[2:3]), ref[2:3])
     assert g.delta_sums(P).flags.c_contiguous
 
 
-@pytest.mark.parametrize("k, calls", [(2, 2), (3, 10)])
+@pytest.mark.parametrize(
+    "m",
+    [star(40, 2, 0), gen_ising_grid(IsingSpec(10, 10, 1.0, seed=0)), PairwiseMRF((2, 3), (), ()),
+     PairwiseMRF((1, 2, 2), ((0, 1), (1, 2), (0, 2)),
+                 (np.array([[0.5, -1.0]]), np.array([[0.3, 1.7], [-0.2, 0.9]]), np.array([[2.0, 0.1]])))],
+    ids=["star-k2", "grid", "edgeless", "binary-with-k1"],
+)
+def test_slot_sums_of_slot_ordered_columns_equal_add_at(m):
+    # the directed columns gathered once into slot order, summed slot by slot
+    # and read back by node: bit-equal to np.add.at over the directed edges
+    # 2e: src->tgt, 2e+1: tgt->src, with messages on the last axis of an
+    # (R, kmax, 2|E|) stack or on the first of a (2|E|, R, kmax) one
+    g = PackedGraph(m)
+    sc = g.scatter
+    assert len(m.edges) != 40 or (sc.slots and len(sc.tail_pos))  # the star's slot 0 is a slice, the rest its tail
+    M0 = np.random.default_rng(7).standard_normal((3, 2 * len(m.edges), g.kmax))
+    X = mp_stack(M0.transpose(0, 2, 1))
+    for axis, stacked, node_major in ((-1, X, lambda B, r: B[r].T), (0, X.transpose(2, 0, 1), lambda B, r: B[:, r])):
+        B = np.take(sc.slot_sums(np.take(stacked, sc.order_cols, axis=axis), axis), sc.pos_of_node, axis=axis)
+        assert np.array_equal(B, sc.sum(stacked, axis))
+        for r in range(3):
+            assert np.array_equal(node_major(B, r), mp_incoming(g, M0[r]))
+
+
+def test_only_binary_graphs_build_the_read_only_directed_tables():
+    for k in (3, 2):
+        g = PackedGraph(gen_random_mrf(10, k, 0.5, seed=1))
+        g.delta_sums(np.ones((2, g.n, g.kmax)))
+        assert ("directed" in vars(g)) == (k == 2)
+    sources, T = g.directed  # the binary graph's
+    assert T.shape == (2, 2, len(sources)) and not T.flags.writeable
+
+
+@pytest.mark.parametrize("k, calls", [(2, 1), (3, 10)])
 def test_binary_delta_sums_contract_all_restarts_at_once(monkeypatch, k, calls):
-    # one einsum per direction on binary graphs, two per restart otherwise
+    # one einsum for both directions on binary graphs, two per restart otherwise
     g = PackedGraph(gen_random_mrf(10, k, 0.5, seed=1))
     seen, einsum = [], np.einsum
     monkeypatch.setattr(np, "einsum", lambda *a, **kw: seen.append(a[0]) or einsum(*a, **kw))
