@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from . import cccp, convex, gpem, maxproduct
+from . import cccp, convex, gpem, maxproduct, model
 from .common import SolverConfig, SolveReport
 from .generators import IsingSpec, gen_ising_grid
 from .model import PairwiseMRF
@@ -40,9 +40,10 @@ class BenchPlan:
     seed: int = 0
 
     def __post_init__(self):
+        model._integers((self.instances, self.restarts), ("instances", "restarts").__getitem__)
         if self.instances < 1 or self.restarts < 1 or not self.sizes or not self.betas:
             raise ValueError("all plan counts must be >= 1")
-        SolverConfig(seed=self.seed)  # raises on a negative seed, as each solve's config would
+        SolverConfig(seed=self.seed)  # raises on a negative or non-integer seed, as each solve's config would
         for (rows, cols), beta in itertools.product(self.sizes, self.betas):
             IsingSpec(rows, cols, beta)  # raises on a size below 1x1 or a bad beta
         for s in self.solvers:
@@ -64,18 +65,6 @@ class Cell:
     qualities: List[float] = field(default_factory=list)
     times: List[float] = field(default_factory=list)
     converged_runs: List[bool] = field(default_factory=list)
-
-    @property
-    def mean_quality(self) -> float:
-        return float(np.mean(self.qualities))
-
-    @property
-    def mean_time_s(self) -> float:
-        return float(np.mean(self.times))
-
-    @property
-    def converged_frac(self) -> float:
-        return float(np.mean(self.converged_runs))
 
 
 @dataclass
@@ -142,10 +131,8 @@ def summary_csv(result: BenchResult) -> str:
             size = f"{r}x{c}"
             for beta in result.plan.betas:
                 cell = result.cells[(s, size, beta)]
-                lines.append(
-                    f"{s},{size},{beta:.10g},{cell.mean_quality:.10g},"
-                    f"{cell.mean_time_s:.6g},{cell.converged_frac:.6g}"
-                )
+                quality, time_s, converged = map(np.mean, (cell.qualities, cell.times, cell.converged_runs))
+                lines.append(f"{s},{size},{beta:.10g},{quality:.10g},{time_s:.6g},{converged:.6g}")
     return "\n".join(lines) + "\n"
 
 

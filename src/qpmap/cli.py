@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import bench, model, uai
 from .bench import SOLVERS, BenchPlan
-from .common import SolverConfig, SolveReport
+from .common import SolverConfig, SolveReport, TraceRecord
 from .generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from .model import ModelError, PairwiseMRF
 
@@ -40,16 +41,10 @@ def _log_transform(mrf: PairwiseMRF) -> PairwiseMRF:
 
 
 def _write_trace(path: str, report: SolveReport) -> None:
-    has_convex = any(t.convex_objective is not None for t in report.trace)
-    header = "iter,qp_objective,integral_objective"
-    if has_convex:
-        header += ",convex_objective"
-    lines = [header]
-    for t in report.trace:
-        row = f"{t.iteration},{t.qp_objective:.17g},{t.integral_objective:.17g}"
-        if has_convex:
-            row += f",{t.convex_objective:.17g}"
-        lines.append(row)
+    """`iter`, then each `TraceRecord` field after `iteration` that the trace carries."""
+    names = [f.name for f in fields(TraceRecord)[1:] if any(getattr(t, f.name) is not None for t in report.trace)]
+    lines = [",".join(["iter", *names])]
+    lines += [",".join([str(t.iteration), *(f"{getattr(t, n):.17g}" for n in names)]) for t in report.trace]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

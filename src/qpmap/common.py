@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -28,10 +29,12 @@ class SolverConfig:
     collect_diagnostics: bool = False
 
     def __post_init__(self):
+        model._integers((self.max_outer_iterations, self.restarts, self.seed),
+                        ("max_outer_iterations", "restarts", "seed").__getitem__)
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be >= 1")
-        if not self.objective_tolerance >= 0:
-            raise ValueError("objective_tolerance must be >= 0")
+        if not (isinstance(self.objective_tolerance, numbers.Real) and self.objective_tolerance >= 0):
+            raise ValueError("objective_tolerance must be a number >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.init not in INIT_MODES:
@@ -43,7 +46,7 @@ class SolverConfig:
 @dataclass
 class TraceRecord:
     iteration: int
-    qp_objective: float
+    qp_objective: Optional[float]
     integral_objective: float
     convex_objective: Optional[float] = None
 
@@ -53,15 +56,8 @@ class SolveReport:
     """A best-of-restarts solve: the winner's (restart `restart_index`, the
     first of ties) `assignment`, `trace`, `beliefs`, `iterations` and
     `converged`, and one entry per restart in the `restarts_*` lists.
-    On the original scale: `integral_objective` (the assignment's value on
-    the original model) and the trace's `integral_objective` (each sweep's
-    decode).  On the prepared scale, before `prepare_model`'s shift is taken
-    off: the CCCP family's trace `qp_objective` (bilinear) and
-    `convex_objective` (relaxed; convex solver only), and its
-    `restarts_final_objective` (each restart's last stopping objective).
-    Max-product traces its decode as `qp_objective` too, and its
-    `restarts_final_objective` is each restart's best decoded objective on
-    the original model."""
+    Every objective is on the original model's scale; `restarts_final_objective`
+    holds each restart's last stopping objective (max-product: its best decode)."""
 
     assignment: np.ndarray
     integral_objective: float
@@ -104,7 +100,7 @@ def relaxation_restarts(graph: PackedGraph, shift: float, config: SolverConfig, 
     `restart_rng(config, r)`; `sweep(P, S, q, live, diag)` maps the live restarts'
     beliefs, messages S and carried objectives q to the next P, S and bilinear
     objective, to which the stopping objective adds sum(p*(1-p)*d) given the
-    convex diagonal d.  Its change is relative; decodes are traced less `shift`."""
+    convex diagonal d.  Its change is relative; every objective is traced less `shift`."""
 
     def objective(P, qp):
         return qp if d is None else qp + row_sums(P * (1.0 - P) * d)
@@ -114,12 +110,12 @@ def relaxation_restarts(graph: PackedGraph, shift: float, config: SolverConfig, 
         P, S, qp = sweep(P, S, prev, live, diag)
         cur = objective(P, qp)
         a = graph.decode(P)
-        columns = (qp, graph.assignment_value(a) - shift) + ((cur,) if d is not None else ())
+        columns = (qp - shift, graph.assignment_value(a) - shift) + ((cur - shift,) if d is not None else ())
         return (P, S, cur), a, columns, relative_change(cur, prev)
 
     def finish(final, w, finals):
         P, _, q = final
-        return graph.unpack_beliefs(P[w]), q.tolist()
+        return graph.unpack_beliefs(P[w]), (q - shift).tolist()
 
     P = np.stack([init_beliefs(graph, config, restart_rng(config, r)) for r in range(config.restarts)])
     S = graph.delta_sums(P)
@@ -134,12 +130,12 @@ def run_restarts(original: PairwiseMRF, config: SolverConfig, state: Tuple[np.nd
     `state` is a tuple of arrays with the restart on axis 0.  Each sweep,
     `step(state, live, diag)` maps the live restarts' rows (indices `live`)
     to their next state, the assignment each stands behind, its trace
-    columns (the `TraceRecord` fields after `iteration`) and its change.  A
-    restart stops once its change is below `config.objective_tolerance`, or
-    at the budget, and its rows move to the final state.  The winner `w`
-    (the first of ties) has the best assignment valued on the original
-    model; given those values, `finish(final, w, finals)` returns its
-    beliefs and every restart's final objective.
+    columns (the `TraceRecord` fields after `iteration`, None for one it does
+    not trace) and its change.  A restart stops once its change is below
+    `config.objective_tolerance`, or at the budget, and its rows move to the
+    final state.  The winner `w` (the first of ties) has the best assignment
+    valued on the original model; given those values, `finish(final, w,
+    finals)` returns its beliefs and every restart's final objective.
     """
     R, budget = config.restarts, config.max_outer_iterations
     t0 = time.perf_counter()
@@ -167,7 +163,7 @@ def run_restarts(original: PairwiseMRF, config: SolverConfig, state: Tuple[np.nd
     return SolveReport(
         assignment=final_a[w].copy(),
         integral_objective=finals[w],
-        trace=[TraceRecord(i, *(float(c[np.searchsorted(rows, w)]) for c in columns))
+        trace=[TraceRecord(i, *(None if c is None else float(c[np.searchsorted(rows, w)]) for c in columns))
                for i, (rows, columns) in enumerate(history[: iterations[w]], 1)],
         beliefs=beliefs,
         iterations=int(iterations[w]),

@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .model import PairwiseMRF
+from .model import PairwiseMRF, _integers
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,7 @@ class IsingSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _integers((self.rows, self.cols, self.seed), ("rows", "cols", "seed").__getitem__)
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be >= 1")
         if not 0 < self.beta < np.inf:
@@ -71,6 +72,7 @@ def gen_random_mrf(
 ) -> PairwiseMRF:
     """Connected random model: a random spanning tree plus extra edges kept
     with probability `density`; table entries ~ U[0, potential_scale]."""
+    _integers((n, k, seed), ("n", "k", "seed").__getitem__)
     if n < 2 or k < 2:
         raise ValueError("need n >= 2 and k >= 2")
     if not 0.0 < density <= 1.0:

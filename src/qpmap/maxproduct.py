@@ -135,11 +135,11 @@ def solve_mp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None,
         new = mp.iterate(M, B, damping)
         change = mp.max_change(new, M)
         B = graph.scatter.sum(new, axis=-1)
-        a = graph.decode(B, axis=1)
+        a = graph.decode(B.transpose(0, 2, 1))
         vals = graph.assignment_value(a) - shift
         better = vals > best_val
         best_a, best_val = np.where(better[:, None], a, best_a), np.maximum(vals, best_val)
-        return (new, B, best_a, best_val), best_a, (vals, vals), change
+        return (new, B, best_a, best_val), best_a, (None, vals), change
 
     def finish(final, w, finals):
         logb = np.where(graph.valid, final[1][w].T, -np.inf)

@@ -229,18 +229,17 @@ class PackedGraph:
     def unpack_beliefs(self, P: np.ndarray) -> List[np.ndarray]:
         return [P[i, : self.card[i]].copy() for i in range(self.n)]
 
-    def decode(self, P: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Per-node argmax of an (n, kmax) matrix or (R, n, kmax) stack, or along axis 1 of an (R, kmax, n) one."""
+    def decode(self, P: np.ndarray) -> np.ndarray:
+        """Per-node argmax of an (n, kmax) matrix or (R, n, kmax) stack."""
         # argmax takes the lowest tied label; padded slots, if any, are masked
         # below every value, as max-product's log beliefs can all be below -1
         if self.padded:
-            P = np.where(self.valid if axis in (-1, P.ndim - 1) else self.valid.T, P, -np.inf)
+            P = np.where(self.valid, P, -np.inf)
         if self.kmax == 2:
             # label 1 only where strictly higher: argmax's tie rule, for the
             # NaN-free values every solver decodes
-            lead = (slice(None),) * (axis % P.ndim)
-            return (P[lead + (1,)] > P[lead + (0,)]).astype(np.intp)
-        return np.argmax(P, axis=axis)
+            return (P[..., 1] > P[..., 0]).astype(np.intp)
+        return np.argmax(P, axis=-1)
 
     # -- sweeps and objectives ------------------------------------------
 

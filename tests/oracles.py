@@ -408,7 +408,7 @@ def mp_restarts_reference(
             iterations = it
             a = graph.decode(mp_incoming(graph, M))
             integral = graph.assignment_value(a) - shift
-            trace.append(TraceRecord(it, integral, integral))
+            trace.append(TraceRecord(it, None, integral))
             if integral > best_val:
                 best_val, best_a = integral, a
             if change < config.objective_tolerance:
@@ -617,14 +617,14 @@ def restarts_reference(solver: str, mrf: PairwiseMRF, config: SolverConfig) -> S
             cvx = convex_objective(P, S) if convex_objective else None
             a = graph.decode(P)
             integral = graph.assignment_value(a) - shift
-            trace.append(TraceRecord(it, qp, integral, cvx))
+            trace.append(TraceRecord(it, qp - shift, integral, None if cvx is None else cvx - shift))
             cur = cvx if convex_objective else qp
             converged = _relative_change(cur, prev) < config.objective_tolerance
             if converged:
                 break
             prev = cur
         restarts_converged.append(converged)
-        restarts_final.append(cur)
+        restarts_final.append(cur - shift)
         integral = model.evaluate_assignment(mrf, a)
         if best is None or integral > best.integral_objective:
             best = SolveReport(

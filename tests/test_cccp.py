@@ -244,6 +244,14 @@ class TestSolve:
         with pytest.raises(DegenerateNodeError):
             cccp.solve(m, SolverConfig(restarts=1))
 
+    def test_integral_end_reads_one_objective(self):
+        # a negative table and a unary: the prepared scale is 2.8 above the original;
+        # every restart ends at an integral point, so all of its objectives are one value
+        m = PairwiseMRF((2, 2), ((0, 1),), ([[-3, 1], [0.5, -2]],), {0: [0.2, -0.4]})
+        rep = cccp.solve(m)
+        for v in (rep.trace[-1].qp_objective, rep.trace[-1].integral_objective, *rep.restarts_final_objective):
+            assert v == pytest.approx(rep.integral_objective, rel=1e-12)
+
 
 def mixed_cardinality_graph(seed):
     rng = np.random.default_rng(seed)

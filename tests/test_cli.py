@@ -133,15 +133,23 @@ class TestSolve:
         assert len(lines) >= 2
         assert lines[1].startswith("1,")
 
-    def test_trace_csv_convex_column(self, tmp_path, capsys):
+    @pytest.mark.parametrize("solver,header", [
+        ("cccp", "iter,qp_objective,integral_objective"),
+        ("convex", "iter,qp_objective,integral_objective,convex_objective"),
+        ("gpem", "iter,qp_objective,integral_objective"),
+        ("maxprod", "iter,integral_objective"),
+    ])
+    def test_trace_csv_header(self, tmp_path, capsys, solver, header):
+        # `iter`, then each trace field the solver carries; every row has a value for each
         trace = tmp_path / "trace.csv"
         rc = cli.main(
-            ["solve", "--input", write_minimal(tmp_path), "--solver", "convex",
+            ["solve", "--input", write_minimal(tmp_path), "--solver", solver,
              "--restarts", "1", "--trace", str(trace)]
         )
         assert rc == cli.EXIT_OK
-        header = trace.read_text().splitlines()[0]
-        assert header == "iter,qp_objective,integral_objective,convex_objective"
+        lines = trace.read_text().splitlines()
+        assert lines[0] == header and len(lines) >= 2
+        assert all(len(line.split(",")) == len(header.split(",")) for line in lines[1:])
 
     @pytest.mark.parametrize("flag,value,field", [("--tol", "-1", "objective_tolerance"),
                                                   ("--restarts", "0", "restarts"),

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qpmap.bench import BenchPlan, instance_seed
+from qpmap.common import SolverConfig
 from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from oracles import gen_ising_grid_per_edge, gen_random_mrf_per_edge, random_mrf_draws_per_edge
 
@@ -131,6 +132,30 @@ def test_bad_parameters_raise_value_error(make, name):
     # the message names the parameter, not numpy's sampler
     with pytest.raises(ValueError, match=name):
         make()
+
+
+@pytest.mark.parametrize("make,name", [
+    (lambda: SolverConfig(max_outer_iterations=True), "max_outer_iterations"),
+    (lambda: SolverConfig(restarts=2.0), "restarts"),
+    (lambda: SolverConfig(seed=1.5), "seed"),
+    (lambda: SolverConfig(objective_tolerance="1e-8"), "objective_tolerance"),
+    (lambda: IsingSpec(2.5, 3, 1.0), "rows"),
+    (lambda: IsingSpec(2, np.float64(3.0), 1.0), "cols"),
+    (lambda: IsingSpec(2, 3, 1.0, seed=True), "seed"),
+    (lambda: gen_random_mrf(5.0, 3), "n"),
+    (lambda: gen_random_mrf(5, True), "k"),
+    (lambda: gen_random_mrf(5, 3, seed=2.0), "seed"),
+    (lambda: BenchPlan(instances=2.0), "instances"),
+    (lambda: BenchPlan(restarts=False), "restarts"),
+    (lambda: BenchPlan(seed=0.5), "seed"),
+], ids=["config-iterations-bool", "config-restarts-float", "config-seed-float", "config-tolerance-str",
+        "ising-rows-float", "ising-cols-numpy-float", "ising-seed-bool", "random-n-float", "random-k-bool",
+        "random-seed-float", "plan-instances-float", "plan-restarts-bool", "plan-seed-float"])
+def test_non_integer_counts_and_seeds_raise_at_construction(make, name):
+    # a one-line ValueError naming the field, not a TypeError from deep inside a solve or a range
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value).startswith(f"{name} ") and "\n" not in str(exc.value)
 
 
 # The generators draw each model's tables as one stack; these pin them to the

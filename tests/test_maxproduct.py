@@ -201,6 +201,11 @@ class TestSolveMp:
         assert len(rep.restarts_final_objective) == 3
         assert max(rep.restarts_final_objective) == rep.integral_objective
 
+    def test_trace_carries_no_qp_objective(self):
+        # max-product has no bilinear objective: each record carries its sweep's decode only
+        rep = maxproduct.solve_mp(gen_ising_grid(IsingSpec(4, 4, 1.0, seed=2)), SolverConfig(restarts=3))
+        assert rep.trace and all(t.qp_objective is None and t.convex_objective is None for t in rep.trace)
+
 
 class TestBatchedRestarts:
     """Sweeping all restarts at once reproduces the one-at-a-time loop exactly."""

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from qpmap import cccp, convex, gpem
 from qpmap.common import SolverConfig
-from qpmap.model import NONNEG_TOL, SIMPLEX_SUM_TOL, DegenerateNodeError, PairwiseMRF
-from qpmap.packed import Diagnostics
+from qpmap.model import NONNEG_TOL, SIMPLEX_SUM_TOL, DegenerateNodeError, PairwiseMRF, prepare_model
+from qpmap.packed import Diagnostics, PackedGraph
+from oracles import pack_beliefs
 
 SOLVERS = {"cccp": (cccp.solve, "qp_objective"), "convex": (convex.solve_convex, "convex_objective"),
            "gpem": (gpem.solve_gp, "qp_objective")}
@@ -49,6 +50,21 @@ def test_simplex_monotone_and_stationary(solver, cards, seed):
     vals = [getattr(t, key) for t in rep.trace]
     assert all(b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
     assert rep.diagnostics.max_stationarity_residual <= 1e-8
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=9), st.integers(0, 2**32 - 1))
+def test_prepared_objective_less_shift_is_the_original_relaxed_objective(cards, seed):
+    # what puts every reported objective on the original scale: on beliefs that sum to 1,
+    # the prepared bilinear objective less the shift is the original model's, unaries included
+    m = random_model(cards, seed)
+    prepared, shift = prepare_model(m)
+    rng = np.random.default_rng(seed)
+    beliefs = [rng.dirichlet(np.ones(k)) for k in m.cardinalities]
+    want = sum(float(beliefs[i] @ t @ beliefs[j]) for (i, j), t in zip(m.edges, m.tables))
+    want += sum(float(u @ beliefs[i]) for i, u in m.unaries.items())
+    graph = PackedGraph(prepared)
+    assert abs(graph.qp_objective(pack_beliefs(graph, beliefs)) - shift - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def assert_padded_zero(P, valid):
