@@ -12,10 +12,14 @@ driver the CCCP-family solvers share; each sweep decodes every node's
 argmax along the label axis of its summed messages, and a restart stops
 once its largest message change falls below the tolerance.  Every sum is
 taken as a one-restart-at-a-time solve takes it: the report is bit-identical.
+A binary model (kmax <= 2) sweeps in the scatter's slot order: one max-plus
+over the directed log table, slice-only incoming sums and no thread.
 """
 
 from __future__ import annotations
 
+import numbers
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -67,33 +71,46 @@ def _max_plus(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
 class _MpGraph:
     """Directed-edge stacking of a packed graph for batched max-product sweeps.
 
-    A message array has shape (R, kmax, 2|E|) for R restarts.  Column e holds
-    the message src->tgt along edge e, and column |E| + e the message tgt->src;
-    `PackedGraph.scatter`, every solver's, sums them: each node in edge order.
-    A sweep gathers the incoming sums at all 2|E| sources at once, less each
-    message's reverse (the two halves swapped), and max-plus multiplies each
-    half with the one log table, log_tables[k, l, e] = log theta_e(k, l), built
-    in place: the forward half as stored, the backward half transposed.
+    A message array has shape (R, kmax, 2|E|) for R restarts, one column per
+    directed message; a sweep gathers its incoming sums, `sums(M)`, at every
+    message's source, less the message's reverse.  A binary graph (kmax <= 2)
+    keeps its columns in the scatter's slot order (`cols`: the edge-order column
+    each holds, e src->tgt, |E| + e tgt->src) and its sums in position order; one
+    max-plus with the log of `PackedGraph.directed` sweeps all its columns.  kmax >= 3
+    keeps edge and node order, and its halves read one log table, log_tables[k, l, e]
+    = log theta_e(k, l): src->tgt as stored, tgt->src transposed, threaded when large.
     """
 
     def __init__(self, graph: PackedGraph):
-        self.graph = graph
+        self.graph, scatter = graph, graph.scatter
         m = self.m = len(graph.src)
-        T = self.log_tables = np.empty((graph.kmax, graph.kmax, m))
-        np.maximum(graph.tables.transpose(1, 2, 0), 1e-320, out=T)
+        self.binary = graph.kmax <= 2
+        self.sums = partial(scatter.slot_sums if self.binary else scatter.sum, axis=-1)
+        if self.binary:  # the reverse of edge-order column j is column j - m mod 2m
+            (sources, tables), self.cols, self.pos = graph.directed, scatter.order_cols, scatter.pos_of_node
+            self.sources, self.reverse = self.pos[sources], np.argsort(self.cols)[self.cols - m]
+        else:
+            tables, self.sources = graph.tables.transpose(1, 2, 0), graph.ends
+            self.cols, self.pos = np.arange(2 * m), np.arange(graph.n)  # edge order, node order
+        T = self.log_tables = np.empty(tables.shape)
+        np.maximum(tables, 1e-320, out=T)
         np.log(T, out=T)
-        T[graph.tables.transpose(1, 2, 0) <= 0.0] = LOG_ZERO
-        self.tgt_valid = np.ascontiguousarray(graph.valid[np.concatenate([graph.tgt, graph.src])].T)
+        T[tables <= 0.0] = LOG_ZERO
+        self.tgt_valid = np.ascontiguousarray(graph.valid[np.concatenate([graph.tgt, graph.src])[self.cols]].T)
         self.ragged = not self.tgt_valid.all()
 
     def iterate(self, M: np.ndarray, B: np.ndarray, damping: float) -> np.ndarray:
-        """One damped synchronous sweep of every restart; B is `graph.scatter.sum(M, axis=-1)`."""
-        m = self.m
-        X = np.take(B, self.graph.ends, axis=-1)
-        X -= np.concatenate([M[..., m:], M[..., :m]], axis=-1)  # each message's reverse
+        """One damped synchronous sweep of every restart, B = `sums(M)`; binary: one max-plus, no thread."""
+        X = B.take(self.sources, axis=-1)
         T = self.log_tables
-        new = np.concatenate(both_directions(self.graph.parallel and X.size >= PARALLEL_MIN_MESSAGES, _max_plus,
-                                             (T, X[..., :m]), (T.transpose(1, 0, 2), X[..., m:])), axis=-1)
+        if self.binary:
+            X -= M.take(self.reverse, axis=-1)  # each message's reverse
+            new = _max_plus(T, X)
+        else:
+            m = self.m
+            X -= np.concatenate([M[..., m:], M[..., :m]], axis=-1)
+            new = np.concatenate(both_directions(self.graph.parallel and X.size >= PARALLEL_MIN_MESSAGES, _max_plus,
+                                                 (T, X[..., :m]), (T.transpose(1, 0, 2), X[..., m:])), axis=-1)
         new *= 1.0 - damping
         new += np.multiply(M, damping, out=X)  # X is spent: its buffer takes damping * M
         new -= self._label_max(new)[:, None, :]
@@ -120,9 +137,12 @@ def solve_mp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None,
     pair; every decode is scored on the additive objective (whether to run
     max-sum on that objective instead is open: ROADMAP, "Baseline fidelity").
     `config.objective_tolerance` doubles as the max-message-change
-    convergence threshold.  Damping defaults to 0 on forests and 0.5 on
-    loopy graphs.
+    convergence threshold.  Damping, a number in [0, 1], defaults to 0 on
+    forests and 0.5 on loopy graphs.  A binary sweep is one max-plus (`_MpGraph`).
     """
+    if damping is not None and (isinstance(damping, bool) or not isinstance(damping, numbers.Real)
+                                or not 0 <= damping <= 1):
+        raise ValueError("damping must be a number in [0, 1]")
     config = config or SolverConfig(max_outer_iterations=1000)
     prepared, shift = model.prepare_model(mrf)
     graph = PackedGraph(prepared)
@@ -134,24 +154,23 @@ def solve_mp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None,
         M, B, best_a, best_val = state
         new = mp.iterate(M, B, damping)
         change = mp.max_change(new, M)
-        B = graph.scatter.sum(new, axis=-1)
-        a = graph.decode(B.transpose(0, 2, 1))
+        B = mp.sums(new)
+        a = graph.decode(B.take(mp.pos, axis=-1).transpose(0, 2, 1))
         vals = graph.assignment_value(a) - shift
-        better = vals > best_val
-        best_a, best_val = np.where(better[:, None], a, best_a), np.maximum(vals, best_val)
+        best_a, best_val = np.where((vals > best_val)[:, None], a, best_a), np.maximum(vals, best_val)
         return (new, B, best_a, best_val), best_a, (None, vals), change
 
     def finish(final, w, finals):
-        logb = np.where(graph.valid, final[1][w].T, -np.inf)
+        logb = np.where(graph.valid, final[1][w].take(mp.pos, axis=-1).T, -np.inf)
         b = np.exp(logb - logb.max(axis=1, keepdims=True))
         b /= b.sum(axis=1, keepdims=True)
         return graph.unpack_beliefs(b), finals
 
     R = config.restarts
-    # restart r's noise is drawn (|E|, 2, kmax): edge e's src->tgt, then tgt->src message
+    # restart r's noise is drawn (|E|, 2, kmax): edge e's src->tgt, then tgt->src message, then put in column order
     M = np.zeros((R, graph.kmax, 2 * mp.m))
     for r in range(1, R):
         noise = restart_rng(config, r).random((mp.m, 2, graph.kmax))
-        M[r] = RESTART_NOISE * noise.transpose(2, 1, 0).reshape(graph.kmax, 2 * mp.m)
-    start = (M, graph.scatter.sum(M, axis=-1), np.zeros((R, graph.n), dtype=np.intp), np.full(R, -np.inf))
+        M[r] = RESTART_NOISE * noise.transpose(2, 1, 0).reshape(graph.kmax, 2 * mp.m).take(mp.cols, axis=-1)
+    start = (M, mp.sums(M), np.zeros((R, graph.n), dtype=np.intp), np.full(R, -np.inf))
     return run_restarts(mrf, config, start, step, finish)

@@ -8,7 +8,7 @@ copied; other models' groups are padded into a new stack one group at a time.
 The reverse orientation is obtained by transposed einsums.  A binary graph
 (kmax <= 2) makes one gather and one einsum over its 2|E| directed messages
 in the scatter's slot order, from a directed copy of the tables built on first
-use, and the scatter sums each slot of them as one slice.
+use (a binary max-product sweep reads its log), and sums each slot as a slice.
 
 Per-node reductions over a short label axis are whole-stack operations on
 label slices, not numpy's row-at-a-time loop, and exact: `label_sum` adds
@@ -22,8 +22,8 @@ that pass's result is known (`clamped_simplex_sweep`).
 
 Tables of PARALLEL_MIN_ENTRIES entries (2 MiB) or more, on a process allowed
 2 or more CPUs, sweep their two message directions at once: the caller takes
-src->tgt, one worker thread tgt->src, in `delta_sums` (kmax >= 3) and, from
-`maxproduct.PARALLEL_MIN_MESSAGES` message entries on, in max-product's
+src->tgt, one worker thread tgt->src, in kmax >= 3 `delta_sums` and, from
+`maxproduct.PARALLEL_MIN_MESSAGES` message entries on, kmax >= 3 max-product's
 max-plus.  numpy releases the interpreter lock inside those loops, and each
 direction makes its one-thread calls into its own half of the output, so the
 results are bit-identical.  Nothing of this is configurable; a smaller model
@@ -253,7 +253,8 @@ class PackedGraph:
     @cached_property
     def directed(self) -> tuple:
         """The directed messages in the scatter's column order: their sources, and their
-        read-only (kmax, kmax, 2|E|) tables, src->tgt along edge e tables[e], tgt->src its transpose."""
+        read-only (kmax, kmax, 2|E|) tables, src->tgt along edge e tables[e], tgt->src its
+        transpose.  Binary `delta_sums` reads them, and binary max-product takes their log."""
         both = np.concatenate([self.tables.transpose(1, 2, 0), self.tables.transpose(2, 1, 0)], axis=-1)
         T = np.take(both, self.scatter.order_cols, axis=-1)
         T.flags.writeable = False

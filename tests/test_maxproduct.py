@@ -45,11 +45,14 @@ def brute_force_product_map(m):
 def sweep(m, messages, damping):
     """One sweep from a (2|E|, kmax) matrix with rows 2e: src->tgt, 2e+1: tgt->src.
 
-    Returns the (kmax, 2|E|) stacked layout: column e src->tgt, |E| + e tgt->src.
+    Returns the (kmax, 2|E|) stacked layout: column e src->tgt, |E| + e tgt->src,
+    mapped to and from the `_MpGraph`'s own column order.
     """
     mp = maxproduct._MpGraph(PackedGraph(m))
-    M = mp_stack(messages.T[None])
-    return mp.iterate(M, mp.graph.scatter.sum(M, axis=-1), damping)[0]
+    M = mp_stack(messages.T[None])[..., mp.cols]
+    got = np.empty_like(M[0])
+    got[:, mp.cols] = mp.iterate(M, mp.sums(M), damping)[0]
+    return got
 
 
 def hub(leaves, k, seed, ring=False):
@@ -68,6 +71,23 @@ def mixed_hub(leaves, seed):
     card = (5,) + tuple(int(k) for k in rng.integers(1, 6, size=leaves))
     edges = [(0, v) for v in range(1, leaves + 1)] + [(v, v % leaves + 1) for v in range(1, leaves + 1)]
     return PairwiseMRF(card, tuple(edges), tuple(rng.uniform(-1.0, 2.0, size=(card[i], card[j])) for i, j in edges))
+
+
+def padded_binary():
+    """A 4x4 grid of binary and one-label nodes."""
+    rng = np.random.default_rng(1)
+    card = (2,) + tuple(int(k) for k in rng.integers(1, 3, size=15))
+    edges = tuple((v, v + d) for v in range(16) for d in (1, 4) if v + d < 16 and (d == 4 or v % 4 < 3))
+    return PairwiseMRF(card, edges, tuple(rng.uniform(-1.0, 1.0, size=(card[i], card[j])) for i, j in edges))
+
+
+def neg_zero_grid():
+    """A 5x5 binary grid whose tables hold -0.0 and 0.0 entries."""
+    rng = np.random.default_rng(3)
+    edges = tuple((v, v + d) for v in range(25) for d in (1, 5) if v + d < 25 and (d == 5 or v % 5 < 4))
+    tables = rng.choice([-0.0, 0.0, 0.5, 1.0], size=(len(edges), 2, 2))
+    tables[:, [0, 1], [0, 1]] += 1.0
+    return PairwiseMRF((2,) * 25, edges, tuple(tables))
 
 
 def mixed_cardinality_loopy():
@@ -103,8 +123,13 @@ class TestMpIteration:
         assert np.allclose(sweep(m, M0, damping=1.0), M0.T)
 
     @pytest.mark.parametrize("damping", [0.0, 0.5])
-    def test_sweep_equals_broadcast_oracle(self, damping):
-        m = mixed_cardinality_loopy()
+    @pytest.mark.parametrize(
+        "m",
+        [mixed_cardinality_loopy(), prepare_model(gen_ising_grid(IsingSpec(10, 10, 1.0, seed=0)))[0], padded_binary(),
+         hub(40, 2, 0), neg_zero_grid()],
+        ids=["mixed", "grid", "padded-binary", "star", "neg-zero-grid"],
+    )
+    def test_sweep_equals_broadcast_oracle(self, m, damping):
         graph = PackedGraph(m)
         M0 = np.random.default_rng(5).standard_normal((2 * len(m.edges), graph.kmax))
         expect = mp_iterate(graph, M0, damping)
@@ -201,6 +226,16 @@ class TestSolveMp:
         assert len(rep.restarts_final_objective) == 3
         assert max(rep.restarts_final_objective) == rep.integral_objective
 
+    @pytest.mark.parametrize("damping", [-0.1, 1.5, float("nan"), float("inf"), True, 0.5j, "0.5"])
+    def test_rejects_bad_damping(self, damping):
+        with pytest.raises(ValueError, match=r"^damping must be a number in \[0, 1\]$"):
+            maxproduct.solve_mp(gen_ising_grid(IsingSpec(3, 3, 1.0, seed=0)), damping=damping)
+
+    @pytest.mark.parametrize("damping", [0, 1, np.float64(0.25)])
+    def test_accepts_damping_in_unit_interval(self, damping):
+        config = SolverConfig(restarts=2, max_outer_iterations=5)
+        assert maxproduct.solve_mp(gen_ising_grid(IsingSpec(3, 3, 1.0, seed=0)), config, damping).iterations >= 1
+
     def test_trace_carries_no_qp_objective(self):
         # max-product has no bilinear objective: each record carries its sweep's decode only
         rep = maxproduct.solve_mp(gen_ising_grid(IsingSpec(4, 4, 1.0, seed=2)), SolverConfig(restarts=3))
@@ -270,12 +305,16 @@ class TestBatchedRestarts:
 
 
 class TestBatchedRestartsThreaded(TestBatchedRestarts):
-    """The same reports when every sweep runs the backward max-plus on the worker."""
+    """The same reports when every sweep with kmax >= 3 runs the backward max-plus on
+    the worker; a binary sweep makes one max-plus and hands nothing off."""
 
     @pytest.fixture(autouse=True)
-    def two_threads(self, threaded):
+    def two_threads(self, threaded, monkeypatch):
+        kmax, solve = [], maxproduct.solve_mp  # each test solves one model
+        monkeypatch.setattr(maxproduct, "solve_mp", lambda mrf, *args: kmax.append(max(mrf.cardinalities))
+                            or solve(mrf, *args))
         yield
-        assert threaded  # every sweep of every model handed off
+        assert len(set(kmax)) == 1 and bool(threaded) == (kmax[0] >= 3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -293,6 +332,16 @@ def test_label_loop_max_plus_equals_broadcast(k):
     assert np.array_equal(got_fwd, fwd.transpose(0, 2, 1))
     assert np.array_equal(got_bwd, bwd.transpose(0, 2, 1))
     assert np.array_equal(got_bwd_view, bwd.transpose(0, 2, 1))
+
+
+def test_binary_mp_graph_holds_one_directed_log_table():
+    graph = PackedGraph(prepare_model(gen_ising_grid(IsingSpec(10, 10, 1.0, seed=0)))[0])
+    mp = maxproduct._MpGraph(graph)
+    tables = {name: v.shape for name, v in vars(mp).items() if isinstance(v, np.ndarray) and v.ndim == 3}
+    assert tables == {"log_tables": (2, 2, 2 * len(graph.src))}
+    with np.errstate(divide="ignore"):
+        expect = np.where(graph.directed[1] > 0.0, np.log(graph.directed[1]), maxproduct.LOG_ZERO)
+    assert np.array_equal(mp.log_tables, expect)
 
 
 def test_mp_graph_holds_one_log_table():
