@@ -15,6 +15,7 @@ from .packed import Diagnostics, PackedGraph, row_sums
 
 INIT_MODES = ("uniform", "uniform-perturbed", "random-dirichlet")
 PERTURBATION = 0.01  # scale of the "uniform-perturbed" init's multiplicative noise
+VALUE_CHUNK = 2**15  # table entries gathered per assignment_value call on the trace's decodes
 
 
 @dataclass
@@ -33,8 +34,11 @@ class SolverConfig:
                         ("max_outer_iterations", "restarts", "seed").__getitem__)
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be >= 1")
-        if not (isinstance(self.objective_tolerance, numbers.Real) and self.objective_tolerance >= 0):
+        tol = self.objective_tolerance
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and tol >= 0):
             raise ValueError("objective_tolerance must be a number >= 0")
+        if not isinstance(self.collect_diagnostics, bool):
+            raise ValueError("collect_diagnostics must be a bool")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.init not in INIT_MODES:
@@ -100,7 +104,11 @@ def relaxation_restarts(graph: PackedGraph, shift: float, config: SolverConfig, 
     `restart_rng(config, r)`; `sweep(P, S, q, live, diag)` maps the live restarts'
     beliefs, messages S and carried objectives q to the next P, S and bilinear
     objective, to which the stopping objective adds sum(p*(1-p)*d) given the
-    convex diagonal d.  Its change is relative; every objective is traced less `shift`."""
+    convex diagonal d.  Its change is relative; every objective is traced less `shift`.
+    A sweep traces its decodes compact (binary: packed bits; else the smallest
+    unsigned dtype) and `finish` values the winner's distinct ones, VALUE_CHUNK
+    table entries a call: a row's value has the same bits in any stack."""
+    dtype, binary = np.min_scalar_type(graph.kmax - 1), graph.kmax == 2
 
     def objective(P, qp):
         return qp if d is None else qp + row_sums(P * (1.0 - P) * d)
@@ -110,12 +118,20 @@ def relaxation_restarts(graph: PackedGraph, shift: float, config: SolverConfig, 
         P, S, qp = sweep(P, S, prev, live, diag)
         cur = objective(P, qp)
         a = graph.decode(P)
-        columns = (qp - shift, graph.assignment_value(a) - shift) + ((cur - shift,) if d is not None else ())
+        c = a.astype(dtype)
+        columns = (qp - shift, np.packbits(c, axis=-1) if binary else c) + ((cur - shift,) if d is not None else ())
         return (P, S, cur), a, columns, relative_change(cur, prev)
 
-    def finish(final, w, finals):
+    def value(rows):  # the winner's stacked decodes: each run of equal rows valued once
+        new = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+        chunk = max(1, VALUE_CHUNK // len(graph.src))
+        vals = [graph.assignment_value((np.unpackbits(x, axis=-1, count=graph.n) if binary else x).astype(np.intp))
+                for x in np.split(rows[new], range(chunk, new.sum(), chunk))]
+        return np.concatenate(vals)[np.cumsum(new) - 1] - shift
+
+    def finish(final, w, finals, columns):
         P, _, q = final
-        return graph.unpack_beliefs(P[w]), (q - shift).tolist()
+        return graph.unpack_beliefs(P[w]), (q - shift).tolist(), (columns[0], value(columns[1]), *columns[2:])
 
     P = np.stack([init_beliefs(graph, config, restart_rng(config, r)) for r in range(config.restarts)])
     S = graph.delta_sums(P)
@@ -134,8 +150,10 @@ def run_restarts(original: PairwiseMRF, config: SolverConfig, state: Tuple[np.nd
     not trace) and its change.  A restart stops once its change is below
     `config.objective_tolerance`, or at the budget, and its rows move to the
     final state.  The winner `w` (the first of ties) has the best assignment
-    valued on the original model; given those values, `finish(final, w,
-    finals)` returns its beliefs and every restart's final objective.
+    valued on the original model; given those values and the winner's trace
+    columns, each stacked over its sweeps, `finish(final, w, finals, columns)`
+    returns its beliefs, every restart's final objective and its trace columns
+    (a solver may trace compact decodes and value them here).
     """
     R, budget = config.restarts, config.max_outer_iterations
     t0 = time.perf_counter()
@@ -159,12 +177,14 @@ def run_restarts(original: PairwiseMRF, config: SolverConfig, state: Tuple[np.nd
             live, state = live[keep], tuple(x[keep] for x in state)
     finals = model.evaluate_assignment(original, final_a).tolist()
     w = int(np.argmax(finals))
-    beliefs, final_objective = finish(final, w, finals)
+    sweeps = [(np.searchsorted(rows, w), cols) for rows, cols in history[: iterations[w]]]
+    columns = [None if c is None else np.array([cs[j][i] for i, cs in sweeps]) for j, c in enumerate(history[0][1])]
+    beliefs, final_objective, columns = finish(final, w, finals, columns)
     return SolveReport(
         assignment=final_a[w].copy(),
         integral_objective=finals[w],
-        trace=[TraceRecord(i, *(None if c is None else float(c[np.searchsorted(rows, w)]) for c in columns))
-               for i, (rows, columns) in enumerate(history[: iterations[w]], 1)],
+        trace=[TraceRecord(i, *(None if c is None else float(c[i - 1]) for c in columns))
+               for i in range(1, iterations[w] + 1)],
         beliefs=beliefs,
         iterations=int(iterations[w]),
         converged=bool(converged[w]),

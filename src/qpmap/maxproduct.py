@@ -160,11 +160,11 @@ def solve_mp(mrf: PairwiseMRF, config: Optional[SolverConfig] = None,
         best_a, best_val = np.where((vals > best_val)[:, None], a, best_a), np.maximum(vals, best_val)
         return (new, B, best_a, best_val), best_a, (None, vals), change
 
-    def finish(final, w, finals):
+    def finish(final, w, finals, columns):
         logb = np.where(graph.valid, final[1][w].take(mp.pos, axis=-1).T, -np.inf)
         b = np.exp(logb - logb.max(axis=1, keepdims=True))
         b /= b.sum(axis=1, keepdims=True)
-        return graph.unpack_beliefs(b), finals
+        return graph.unpack_beliefs(b), finals, columns
 
     R = config.restarts
     # restart r's noise is drawn (|E|, 2, kmax): edge e's src->tgt, then tgt->src message, then put in column order

@@ -9,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qpmap import cccp, convex, gpem
+from qpmap import cccp, common, convex, gpem
 from qpmap.common import SolverConfig
 from qpmap.generators import IsingSpec, gen_ising_grid, gen_random_mrf
 from qpmap.model import PairwiseMRF, prepare_model
@@ -235,3 +235,84 @@ def test_negative_seed_is_rejected():
     # restart_rng seeds numpy with [seed, restart], which takes no negative entry
     with pytest.raises(ValueError, match="^seed must be >= 0$"):
         SolverConfig(seed=-1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("objective_tolerance", True, "objective_tolerance must be a number >= 0"),
+    ("objective_tolerance", np.True_, "objective_tolerance must be a number >= 0"),
+    ("objective_tolerance", "no", "objective_tolerance must be a number >= 0"),
+    ("collect_diagnostics", "no", "collect_diagnostics must be a bool"),
+    ("collect_diagnostics", 1, "collect_diagnostics must be a bool"),
+    ("collect_diagnostics", np.True_, "collect_diagnostics must be a bool"),
+], ids=["tolerance-true", "tolerance-numpy-true", "tolerance-str", "diagnostics-str", "diagnostics-int",
+        "diagnostics-numpy-true"])
+def test_config_rejects_bool_tolerance_and_non_bool_diagnostics(field, value, message):
+    # a bool tolerance of True would stop every restart at its first change below 1.0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SolverConfig(**{field: value})
+
+
+def test_config_accepts_integer_tolerance_and_bool_diagnostics():
+    assert SolverConfig(objective_tolerance=1, collect_diagnostics=True).objective_tolerance == 1
+
+
+def padded_binary_3x5():
+    """A 3x5 grid of binary and one-label nodes: 15 nodes, a packed decode row of 2 bytes."""
+    rng = np.random.default_rng(5)
+    card = (2,) + tuple(int(k) for k in rng.integers(1, 3, size=14))
+    edges = tuple((v, v + d) for v in range(15) for d in (1, 5) if v + d < 15 and (d == 5 or v % 5 < 4))
+    return PairwiseMRF(card, edges, tuple(rng.uniform(-1.0, 1.0, size=(card[i], card[j])) for i, j in edges))
+
+
+def two_node_300():
+    """Two 300-label nodes whose best labels lie above 255: decodes need uint16 rows."""
+    table = np.random.default_rng(6).uniform(0.0, 1.0, size=(300, 300))
+    table[290, 280] = 50.0
+    return PairwiseMRF((300, 300), ((0, 1),), (table,))
+
+
+# model, kmax, restarts, budget: each reaches one branch of the compact trace
+TRACE_MODELS = {
+    "grid-50x50": (lambda: gen_ising_grid(IsingSpec(50, 50, 1.0, seed=2)), 2, 1, 40),  # several chunks
+    "padded-binary-15": (padded_binary_3x5, 2, 4, 100),  # n % 8 != 0: packbits pads the last byte
+    "mixed-k3": (lambda: mixed_cardinality_mrf(np.random.default_rng(3), n_max=12, k_max=3), 3, 4, 100),
+    "two-node-300": (two_node_300, 300, 3, 60),  # uint16 rows
+}
+
+
+@pytest.mark.parametrize("model", TRACE_MODELS)
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_deferred_trace_equals_per_sweep_valuation(monkeypatch, solver, model):
+    # the winner's decodes, traced compact and valued once after the last sweep,
+    # equal the reference's valuation of every sweep's decode, bit for bit
+    make, kmax, restarts, budget = TRACE_MODELS[model]
+    m = make()
+    g = PackedGraph(prepare_model(m)[0])
+    assert g.kmax == kmax and (model != "padded-binary-15" or (g.padded and g.n % 8))
+    config = SolverConfig(restarts=restarts, seed=4, max_outer_iterations=budget)
+    rows, value = [], PackedGraph.assignment_value
+    monkeypatch.setattr(PackedGraph, "assignment_value", lambda self, a: rows.append(len(a)) or value(self, a))
+    got = SOLVERS[solver](m, config)
+    monkeypatch.undo()
+    ref = restarts_reference(solver, m, config)
+    assert got.trace == ref.trace
+    assert_same_report(got, ref)
+    chunk = common.VALUE_CHUNK // len(g.src)
+    assert all(r <= chunk for r in rows) and sum(rows) <= got.iterations
+    if model == "grid-50x50" and solver != "gpem":
+        assert len(rows) > 1
+    if model == "two-node-300":
+        assert got.assignment.max() > 255
+
+
+def test_gpem_values_distinct_decodes_not_every_sweep(monkeypatch):
+    # 200 unconverged sweeps of 3 restarts: every sweep decodes, but only the
+    # winner's runs of equal decodes are valued, in one chunk on a 10x10 grid
+    calls, value = [], PackedGraph.assignment_value
+    monkeypatch.setattr(PackedGraph, "assignment_value", lambda self, a: calls.append(np.shape(a)) or value(self, a))
+    config = SolverConfig(restarts=3, seed=1, max_outer_iterations=200, objective_tolerance=0.0)
+    rep = gpem.solve_gp(gen_ising_grid(IsingSpec(10, 10, 1.0, seed=3)), config)
+    assert rep.iterations == 200 and not any(rep.restarts_converged)
+    assert len(calls) == 1 and 1 < calls[0][0] < 200 // 4
+    runs = 1 + sum(a.integral_objective != b.integral_objective for a, b in zip(rep.trace, rep.trace[1:]))
+    assert runs <= calls[0][0]
